@@ -1,8 +1,8 @@
 //! # dlo-bench — reproduction harness and workloads
 //!
 //! Shared infrastructure for the `repro_*` binaries (one per table/figure
-//! of the paper — see DESIGN.md's experiment index and EXPERIMENTS.md for
-//! recorded outputs) and for the Criterion benches.
+//! of the paper, in `src/bin/`; each binary's module docs name the result
+//! it reproduces) and for the Criterion benches.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

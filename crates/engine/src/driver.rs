@@ -1,9 +1,30 @@
-//! The evaluation drivers: naïve and parallel semi-naïve loops over
-//! compiled plans, behind the `EvalOutcome`/`Database` API.
+//! The evaluation kernel, and the naïve and semi-naïve drivers built on
+//! it behind the `EvalOutcome`/`Database` API.
 //!
-//! The semi-naïve loop is the relation-level reading of Theorem 6.5
-//! (mirroring `dlo_core::eval::relational::relational_seminaive_eval`
-//! step for step, so outcomes and step counts agree):
+//! Every evaluation in the engine — the naïve and semi-naïve runs here,
+//! the frontier runs of [`crate::worklist`], and every build, edit and
+//! rebuild of [`crate::Materialization`] — runs on one kernel:
+//!
+//! * **one run prologue** resolves the join mode, starts the run's
+//!   stats collector and governor, takes the pre-index checkpoint,
+//!   builds the EDB indexes (plus the worklist plans' requirements for
+//!   a frontier run) and ensures the IDB state's probe structures;
+//! * **one phase runner** runs a phase's plans against the IDB state
+//!   into a per-IDB *sink* — a `⊕`-merging accumulator for the global
+//!   loops, an ordered append buffer for the frontier — fanning
+//!   (plan × row-chunk) tasks over scoped worker threads when the
+//!   estimated first-step work warrants it; task-local sinks merge in
+//!   task order, so results are deterministic at any worker count;
+//! * **one naïve loop, one semi-naïve seed and one semi-naïve delta
+//!   loop**, which the drivers here and `Materialization` run with
+//!   their own plan lists. Each returns its step count or a failure
+//!   naming the checkpoint that caught it, and each driver turns a
+//!   failure into its public error in one place.
+//!
+//! The semi-naïve loop is the relation-level reading of Theorem 6.5,
+//! step for step that of
+//! `dlo_core::eval::relational::relational_seminaive_eval`, so outcomes
+//! and step counts agree:
 //!
 //! ```text
 //! J(1) ← F(0);  δ(0) ← J(1)
@@ -13,10 +34,9 @@
 //! until δ = 0
 //! ```
 //!
-//! Work per iteration is distributed over scoped worker threads: each
-//! (plan, first-step row chunk) task joins into a private accumulator,
-//! and accumulators are `⊕`-merged in task order, so results are
-//! deterministic regardless of the worker count.
+//! Its seed is step 0 and iteration `t` is step `t`; a run converges at
+//! the first step whose δ is empty and diverges when that step would
+//! pass the cap.
 //!
 //! ## Head-computed keys and dynamic interning
 //!
@@ -25,8 +45,8 @@
 //! compiled. The interner is frozen while a phase runs in parallel, so
 //! the executor emits such cells as [`HeadVal::Fresh`] integers into a
 //! per-IDB *fresh accumulator* (an ordered map, for determinism); the
-//! drivers mint ids for them **between** phases — single-threaded, in
-//! sorted key order — and only then insert the rows. A row minted at
+//! kernel mints ids for them **between** phases — single-threaded, in
+//! sorted key order — and only then inserts the rows. A row minted at
 //! iteration `t` is therefore first *visible* to joins at `t + 1`, which
 //! is exactly the semi-naïve contract: minted rows enter `new`, `δ`, and
 //! the `changed` map as ordinary appends, and every index on those
@@ -44,12 +64,14 @@ use crate::plan::{compile_demand, CompileError, CompiledProgram, Plan, Source};
 use crate::storage::{AccumMap, ColMask, ColumnRel, JoinMode};
 use crate::telemetry::Collector;
 use dlo_core::ast::Program;
-use dlo_core::eval::stats::EvalStats;
+use dlo_core::eval::stats::{Counters, EvalStats};
 use dlo_core::eval::{BudgetClass, CancelToken, EvalBudget, EvalError, EvalOutcome, TraceHandle};
 use dlo_core::relation::{BoolDatabase, Database, Relation};
 use dlo_pops::{Bool, CompleteDistributiveDioid, NaturallyOrdered, Pops, PreSemiring};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Below this much estimated first-step work an iteration runs on one
@@ -158,23 +180,13 @@ impl EngineOpts {
     }
 }
 
-/// Per-IDB head accumulators for one iteration. [`AccumMap`] packs keys
-/// of width ≤ 2 into `u64`s — the same trick the row maps and indexes in
-/// [`crate::storage`] use — so the per-derivation `⊕`-merge is an
-/// inline-integer hash with no per-key allocation (the boxed-slice maps
-/// this replaces were the semi-naïve loop's last unpacked hot path).
-pub(crate) type Accum<P> = Vec<AccumMap<P>>;
-
-/// Per-IDB accumulators for head keys containing not-yet-interned
-/// constants. `BTreeMap` so draining (and with it id minting) is
-/// deterministic without a separate sort.
-pub(crate) type FreshAccum<P> = Vec<BTreeMap<Box<[HeadVal]>, P>>;
-
 /// The compiled program plus interned, indexed inputs (shared with the
 /// frontier drivers in [`crate::worklist`]).
 pub(crate) struct Engine<P> {
     pub(crate) interner: Interner,
-    pub(crate) compiled: CompiledProgram<P>,
+    /// Shared so a loop can hold the plan lists it runs while minting
+    /// into the interner between phases.
+    pub(crate) compiled: Arc<CompiledProgram<P>>,
     pub(crate) pops_edb: Vec<Option<ColumnRel<P>>>,
     pub(crate) bool_edb: Vec<Option<ColumnRel<Bool>>>,
     pub(crate) adom: Vec<u32>,
@@ -189,19 +201,37 @@ pub(crate) struct Engine<P> {
     /// out over the worker pool once the caller knows its thread count.
     pub(crate) edb_reqs: Vec<(Source, ColMask)>,
     /// The resolved [`JoinMode`] for this run: every ensure site reads
-    /// it to pick hash indexes vs sorted arrangements. Entry points set
-    /// it from [`EngineOpts::effective_join_mode`] before any probe
+    /// it to pick hash indexes vs sorted arrangements. The run prologue
+    /// sets it from [`EngineOpts::effective_join_mode`] before any probe
     /// structure is built.
     pub(crate) join_mode: JoinMode,
 }
 
-/// The three semi-naïve IDB states (shared with the incremental
-/// maintenance driver in [`crate::incremental`], which keeps one alive
-/// across edits).
+/// The three semi-naïve IDB states of Theorem 6.5. The frontier runs
+/// keep `changed` empty (so `Old` reads are `New` reads) and stage each
+/// batch in `delta`; `Materialization` keeps one alive across edits.
 pub(crate) struct IdbState<P> {
     pub(crate) new: Vec<ColumnRel<P>>,
     pub(crate) changed: Vec<FxHashMap<u32, Option<P>>>,
     pub(crate) delta: Vec<ColumnRel<P>>,
+}
+
+impl<P: Pops> IdbState<P> {
+    /// Empty state for every IDB of `engine` (no probe structures yet).
+    pub(crate) fn new(engine: &Engine<P>) -> Self {
+        IdbState {
+            new: engine.empty_idbs(),
+            changed: vec![FxHashMap::default(); engine.compiled.idbs.len()],
+            delta: engine.empty_idbs(),
+        }
+    }
+}
+
+/// Adds `mask` to a relation's probe-mask list unless already present.
+pub(crate) fn add_mask(masks: &mut Vec<ColMask>, mask: ColMask) {
+    if !masks.contains(&mask) {
+        masks.push(mask);
+    }
 }
 
 fn intern_rel<P: Pops>(rel: &Relation<P>, interner: &Interner) -> ColumnRel<P> {
@@ -310,21 +340,13 @@ fn assemble<P: Pops>(
     for (source, mask) in compiled.index_requirements() {
         match source {
             Source::PopsEdb(_) | Source::BoolEdb(_) => edb_reqs.push((source, mask)),
-            Source::IdbNew(i) | Source::IdbOld(i) => {
-                if !idb_new_masks[i].contains(&mask) {
-                    idb_new_masks[i].push(mask);
-                }
-            }
-            Source::IdbDelta(i) => {
-                if !idb_delta_masks[i].contains(&mask) {
-                    idb_delta_masks[i].push(mask);
-                }
-            }
+            Source::IdbNew(i) | Source::IdbOld(i) => add_mask(&mut idb_new_masks[i], mask),
+            Source::IdbDelta(i) => add_mask(&mut idb_delta_masks[i], mask),
         }
     }
     Engine {
         interner,
-        compiled,
+        compiled: Arc::new(compiled),
         pops_edb,
         bool_edb,
         adom,
@@ -379,26 +401,24 @@ impl<P: Pops> Engine<P> {
             .collect()
     }
 
-    /// Fresh per-IDB head accumulators, one per predicate at its arity.
-    fn empty_accums(&self) -> Accum<P> {
-        self.compiled
-            .idbs
-            .iter()
-            .map(|(_, arity)| AccumMap::new(*arity))
-            .collect()
+    /// Everything a plan run over `state` reads.
+    fn ctx<'a>(&'a self, state: &'a IdbState<P>) -> EvalCtx<'a, P> {
+        EvalCtx {
+            interner: &self.interner,
+            adom: &self.adom,
+            pops_edb: &self.pops_edb,
+            bool_edb: &self.bool_edb,
+            idb_new: &state.new,
+            idb_changed: &state.changed,
+            idb_delta: &state.delta,
+        }
     }
 
     /// `(first-step work estimate, chunkable)` for a plan against the
-    /// given IDB states — the shared input of [`chunk_tasks`] for both
-    /// the global driver and the frontier batch executor. A probe-driven
+    /// given IDB state — the input of [`chunk_tasks`]. A probe-driven
     /// first step gets a flat estimate (its candidate count is unknown
     /// until the key is assembled); an unindexed scan is chunkable.
-    pub(crate) fn step0_estimate(
-        &self,
-        plan: &Plan<P>,
-        new: &[ColumnRel<P>],
-        delta: &[ColumnRel<P>],
-    ) -> (usize, bool) {
+    fn step0_estimate(&self, plan: &Plan<P>, state: &IdbState<P>) -> (usize, bool) {
         match plan.steps.first() {
             None => (1, false),
             Some(step) if step.mask != 0 => (16, false),
@@ -406,20 +426,36 @@ impl<P: Pops> Engine<P> {
                 let len = match step.source {
                     Source::PopsEdb(i) => self.pops_edb[i].as_ref().map_or(0, |r| r.len()),
                     Source::BoolEdb(i) => self.bool_edb[i].as_ref().map_or(0, |r| r.len()),
-                    Source::IdbNew(i) | Source::IdbOld(i) => new[i].len(),
-                    Source::IdbDelta(i) => delta[i].len(),
+                    Source::IdbNew(i) | Source::IdbOld(i) => state.new[i].len(),
+                    Source::IdbDelta(i) => state.delta[i].len(),
                 };
                 (len, true)
             }
         }
     }
+
+    /// Switches the IDB masks to a frontier run's: the worklist plans'
+    /// `New`/`Old` masks join the global ones, their Δ masks replace the
+    /// global Δ masks (a frontier run never fires delta plans). Returns
+    /// the worklist requirements for the EDB index build.
+    fn use_worklist_masks(&mut self) -> Vec<(Source, ColMask)> {
+        let reqs = self.compiled.worklist_index_requirements();
+        self.idb_delta_masks = vec![vec![]; self.idb_delta_masks.len()];
+        for &(source, mask) in &reqs {
+            match source {
+                Source::IdbNew(i) | Source::IdbOld(i) => add_mask(&mut self.idb_new_masks[i], mask),
+                Source::IdbDelta(i) => add_mask(&mut self.idb_delta_masks[i], mask),
+                Source::PopsEdb(_) | Source::BoolEdb(_) => {}
+            }
+        }
+        reqs
+    }
 }
 
 /// Builds the parallel task list from per-plan first-step estimates: one
 /// task per plan, with chunkable scan-driven plans split into first-step
-/// row ranges. Shared by the global driver's iterations and the frontier
-/// drivers' batches so both paths fan out with one heuristic.
-pub(crate) fn chunk_tasks(
+/// row ranges.
+fn chunk_tasks(
     estimates: &[(usize, bool)],
     threads: usize,
     chunk_min: usize,
@@ -443,14 +479,13 @@ pub(crate) fn chunk_tasks(
 impl<P: Pops + Send> Engine<P> {
     /// Builds every EDB-side index the compiled plans probe — the
     /// seed/semi-naïve requirements collected at setup plus `extra`
-    /// (the frontier drivers pass their worklist-plan requirements;
-    /// IDB entries in `extra` are ignored, the caller owns those
-    /// relations) — fanning per-relation builds over `threads` scoped
-    /// workers. Builds are independent per relation and each index's
-    /// content is insertion-order determined, so parallel construction
-    /// is observation-equivalent to the old sequential loop. A panic in
-    /// a build is contained by the pool and surfaced as the abort the
-    /// drivers turn into [`EvalError::WorkerPanic`].
+    /// (the frontier's worklist-plan requirements; IDB entries in
+    /// `extra` are ignored, the caller owns those relations) — fanning
+    /// per-relation builds over `threads` scoped workers. Builds are
+    /// independent per relation and each index's content is
+    /// insertion-order determined, so parallel construction is
+    /// observation-equivalent to a sequential loop. A panic in a build
+    /// is contained by the pool and surfaced as an abort.
     pub(crate) fn build_edb_indexes(
         &mut self,
         extra: &[(Source, ColMask)],
@@ -464,8 +499,8 @@ impl<P: Pops + Send> Engine<P> {
         let mut bool_masks: Vec<Vec<ColMask>> = vec![vec![]; self.bool_edb.len()];
         for &(source, mask) in self.edb_reqs.iter().chain(extra) {
             match source {
-                Source::PopsEdb(i) if !pops_masks[i].contains(&mask) => pops_masks[i].push(mask),
-                Source::BoolEdb(i) if !bool_masks[i].contains(&mask) => bool_masks[i].push(mask),
+                Source::PopsEdb(i) => add_mask(&mut pops_masks[i], mask),
+                Source::BoolEdb(i) => add_mask(&mut bool_masks[i], mask),
                 _ => {}
             }
         }
@@ -520,6 +555,17 @@ pub(crate) fn ensure_probes<P: Pops>(
     arranged
 }
 
+/// Ensures the delta's probe structures under the engine's resolved
+/// [`JoinMode`]; returns whether any dispatched to an arrangement (see
+/// [`ensure_probes`]).
+pub(crate) fn ensure_delta_indexes<P: Pops>(engine: &Engine<P>, state: &mut IdbState<P>) -> bool {
+    let mut arranged = false;
+    for (pred, rel) in state.delta.iter_mut().enumerate() {
+        arranged |= ensure_probes(rel, &engine.idb_delta_masks[pred], engine.join_mode);
+    }
+    arranged
+}
+
 /// Drains the spine-merge counters every IDB relation accumulated since
 /// the last drain into the run's `arrange_batches_merged` total. All
 /// arrangement maintenance happens on the coordinating thread (inserts
@@ -533,32 +579,8 @@ pub(crate) fn drain_arrange_merges<P: Pops>(state: &mut IdbState<P>, col: &mut C
 }
 
 /// Consumes a finished engine into the decode-free output handle.
-pub(crate) fn finish<P: Pops>(engine: Engine<P>, rels: Vec<ColumnRel<P>>) -> InternedOutput<P> {
-    InternedOutput::new(engine.interner, engine.compiled.idbs, rels)
-}
-
-/// The shared abort tail of every driver, with the partially evaluated
-/// instance attached instead of dropped: emits the abort trace event
-/// via [`abort_error`], then packages the abort-time IDB state (`rels`)
-/// and the settled marking into a [`PartialOutput`] riding next to the
-/// typed error. The stats snapshot inside the error and inside the
-/// partial are the same completed snapshot.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn abort_with_partial<P: Pops>(
-    abort: Abort,
-    checkpoint: Checkpoint,
-    engine: Engine<P>,
-    rels: Vec<ColumnRel<P>>,
-    settled: SettledMark,
-    col: Collector,
-    steps: usize,
-    eval_ns: u64,
-) -> Box<AbortedEval<P>> {
-    let settled_rows = settled.settled_rows();
-    let error = abort_error(abort, checkpoint, settled_rows, col, steps, eval_ns);
-    let stats = error.stats().cloned().unwrap_or_default();
-    let partial = PartialOutput::new(finish(engine, rels), settled, stats);
-    Box::new(AbortedEval::new(error, partial))
+fn finish<P: Pops>(engine: Engine<P>, rels: Vec<ColumnRel<P>>) -> InternedOutput<P> {
+    InternedOutput::new(engine.interner, engine.compiled.idbs.clone(), rels)
 }
 
 /// Wraps a pre-run failure (a compile rejection) into the
@@ -574,11 +596,7 @@ pub(crate) fn empty_aborted<P: Pops>(error: EvalError) -> Box<AbortedEval<P>> {
     Box::new(AbortedEval::new(error, partial))
 }
 
-pub(crate) fn merge_fresh<P: PreSemiring>(
-    map: &mut BTreeMap<Box<[HeadVal]>, P>,
-    key: &[HeadVal],
-    v: P,
-) {
+fn merge_fresh<P: PreSemiring>(map: &mut BTreeMap<Box<[HeadVal]>, P>, key: &[HeadVal], v: P) {
     match map.get_mut(key) {
         Some(g) => *g = g.add(&v),
         None => {
@@ -594,7 +612,7 @@ pub(crate) fn merge_fresh<P: PreSemiring>(
 /// injectively to brand-new ids (they were not interned when the phase
 /// ran) and `Id` cells predate the phase, so a minted row can collide
 /// neither with another minted row nor with any row already stored.
-pub(crate) fn mint_key(interner: &mut Interner, key: &[HeadVal]) -> Vec<u32> {
+fn mint_key(interner: &mut Interner, key: &[HeadVal]) -> Vec<u32> {
     key.iter()
         .map(|hv| match hv {
             HeadVal::Id(id) => *id,
@@ -603,44 +621,226 @@ pub(crate) fn mint_key(interner: &mut Interner, key: &[HeadVal]) -> Vec<u32> {
         .collect()
 }
 
-/// Runs one phase's plans, fanning out when the estimated work warrants
-/// it. A panicking plan (sequential or parallel) is contained and
-/// surfaced as [`Abort::WorkerPanic`] — deterministically, because the
-/// lowest-indexed panicking task wins in the pool and the sequential
-/// path visits tasks in the same order.
-pub(crate) fn run_plans<P>(
-    engine: &Engine<P>,
-    plans: &[Plan<P>],
-    state: &IdbState<P>,
+/// Where a phase's emissions land, one sink per IDB: the global loops
+/// `⊕`-merge into an [`AccumMap`], the frontier appends to an ordered
+/// buffer. The phase runner is generic over the sink, so the per-emit
+/// call is monomorphized.
+pub(crate) trait Sink<P>: Send + Sized {
+    /// An empty sink for keys of `arity` columns.
+    fn for_arity(arity: usize) -> Self;
+    /// Takes one emission.
+    fn emit(&mut self, key: &[u32], v: P);
+    /// Folds a task-local sink in (the parallel merge, in task order).
+    fn absorb(&mut self, other: Self);
+    /// Hands every emission to `f` and leaves the sink empty.
+    fn drain(&mut self, f: impl FnMut(&[u32], P));
+}
+
+impl<P: PreSemiring + Send> Sink<P> for AccumMap<P> {
+    fn for_arity(arity: usize) -> Self {
+        AccumMap::new(arity)
+    }
+
+    #[inline]
+    fn emit(&mut self, key: &[u32], v: P) {
+        self.merge(key, v);
+    }
+
+    fn absorb(&mut self, other: Self) {
+        AccumMap::absorb(self, other);
+    }
+
+    /// Drains in ascending key order ([`AccumMap::drain_sorted`]).
+    fn drain(&mut self, f: impl FnMut(&[u32], P)) {
+        let width = match self {
+            AccumMap::Packed { width, .. } => *width,
+            AccumMap::Wide(_) => 3, // every width above 2 is wide
+        };
+        std::mem::replace(self, AccumMap::new(width)).drain_sorted(f);
+    }
+}
+
+/// One phase's output: a sink per IDB, and per IDB the head keys
+/// holding constants not interned yet. Those are a `BTreeMap`, so their
+/// drain — and with it id minting — is deterministic without a sort.
+pub(crate) struct PhaseOut<P, S> {
+    pub(crate) sinks: Vec<S>,
+    fresh: Vec<BTreeMap<Box<[HeadVal]>, P>>,
+}
+
+impl<P: Pops, S: Sink<P>> PhaseOut<P, S> {
+    /// Empty output for every IDB of `engine`.
+    pub(crate) fn new(engine: &Engine<P>) -> Self {
+        let idbs = &engine.compiled.idbs;
+        PhaseOut {
+            sinks: idbs.iter().map(|(_, arity)| S::for_arity(*arity)).collect(),
+            fresh: idbs.iter().map(|_| BTreeMap::new()).collect(),
+        }
+    }
+}
+
+/// Why a kernel loop stopped short of its fixpoint.
+pub(crate) enum LoopFail {
+    /// A governed stop or a contained worker panic, with the checkpoint
+    /// that caught it and the completed step count.
+    Abort {
+        abort: Abort,
+        checkpoint: Checkpoint,
+        steps: usize,
+    },
+    /// The step cap ran out.
+    Diverged,
+}
+
+impl LoopFail {
+    /// Tags an abort with the checkpoint and step it stopped at.
+    pub(crate) fn at(checkpoint: Checkpoint, steps: usize) -> impl FnOnce(Abort) -> LoopFail {
+        move |abort| LoopFail::Abort {
+            abort,
+            checkpoint,
+            steps,
+        }
+    }
+}
+
+/// One run's instrumentation: the stats collector, the governor, the
+/// fan-out knobs, and the eval clock.
+pub(crate) struct RunCx {
+    pub(crate) col: Collector,
+    gov: Governor,
+    threads: usize,
+    par_threshold: usize,
+    chunk_min: usize,
+    t_eval: Option<Instant>,
+}
+
+impl RunCx {
+    /// Starts collection and governance for one run over `engine`, whose
+    /// join mode is already resolved. `setup_ns` is recorded as the
+    /// setup phase and backdated into the governor's deadline.
+    pub(crate) fn new<P: Pops>(
+        engine: &Engine<P>,
+        opts: &EngineOpts,
+        strategy: &str,
+        setup_ns: u64,
+    ) -> RunCx {
+        let threads = opts.effective_threads();
+        let metas = engine.compiled.plan_metas_for(engine.join_mode);
+        RunCx {
+            col: Collector::new(strategy, threads, setup_ns, metas, opts),
+            gov: Governor::new(opts, setup_ns),
+            threads,
+            par_threshold: opts.par_threshold,
+            chunk_min: opts.chunk_min,
+            t_eval: None,
+        }
+    }
+
+    /// Starts the eval clock.
+    pub(crate) fn start_eval(&mut self) {
+        self.t_eval = Some(Instant::now());
+    }
+
+    /// Nanoseconds since the eval clock started (0 before it started).
+    pub(crate) fn eval_ns(&self) -> u64 {
+        self.t_eval.map_or(0, |t| t.elapsed().as_nanos() as u64)
+    }
+
+    /// One governance checkpoint after `steps` completed phases.
+    pub(crate) fn check(&mut self, steps: usize, checkpoint: Checkpoint) -> Result<(), LoopFail> {
+        self.gov
+            .check(steps as u64, &mut self.col)
+            .map_err(LoopFail::at(checkpoint, steps))
+    }
+}
+
+/// The run prologue of every from-scratch run and every
+/// `Materialization` build: resolves the join mode, starts the run's
+/// collector and governor, takes the pre-index checkpoint (a cancelled
+/// or already-over-deadline run stops before paying for the EDB index
+/// build), builds the EDB indexes — with the worklist plans'
+/// requirements when `frontier` — starts the eval clock, and ensures
+/// `state`'s probe structures (Δ too for a frontier run, whose batch
+/// relations keep them across clears).
+pub(crate) fn prologue<P: Pops + Send>(
+    engine: &mut Engine<P>,
+    state: &mut IdbState<P>,
     opts: &EngineOpts,
-    col: &mut Collector,
-) -> Result<(Accum<P>, FreshAccum<P>), Abort>
+    strategy: &str,
+    setup_ns: u64,
+    frontier: bool,
+) -> (RunCx, Result<(), LoopFail>) {
+    engine.join_mode = opts.effective_join_mode();
+    let mut run = RunCx::new(engine, opts, strategy, setup_ns);
+    let extra = if frontier {
+        engine.use_worklist_masks()
+    } else {
+        vec![]
+    };
+    let ready = (|| {
+        run.check(0, Checkpoint::Phase)?;
+        let t = Instant::now();
+        engine
+            .build_edb_indexes(&extra, run.threads)
+            .map_err(LoopFail::at(Checkpoint::Phase, 0))?;
+        run.col.edb_index_phase(t.elapsed().as_nanos() as u64);
+        run.start_eval();
+        let t_arr = Instant::now();
+        let mut arranged = false;
+        for (pred, rel) in state.new.iter_mut().enumerate() {
+            arranged |= ensure_probes(rel, &engine.idb_new_masks[pred], engine.join_mode);
+        }
+        if frontier {
+            arranged |= ensure_delta_indexes(engine, state);
+        }
+        if arranged {
+            run.col.arrange_phase(t_arr.elapsed().as_nanos() as u64);
+        }
+        Ok(())
+    })();
+    (run, ready)
+}
+
+/// The phase runner: runs `plans` against `state` into `out`. On one
+/// thread, or below `par_threshold` estimated first-step work, the plans
+/// run inline in order; otherwise (plan × row-chunk) tasks fan out over
+/// [`par::run_indexed`] and task-local sinks are absorbed in task order
+/// — chunks partition a plan's first-step candidates in row order, so
+/// the result, the fresh maps and the counter sums are independent of
+/// the thread count. A panicking plan is contained and surfaced as
+/// [`Abort::WorkerPanic`], deterministically: the lowest-indexed
+/// panicking task wins in the pool, and the inline path visits tasks in
+/// the same order.
+pub(crate) fn run_phase<P, B, S>(
+    engine: &Engine<P>,
+    plans: &[B],
+    state: &IdbState<P>,
+    run: &mut RunCx,
+    out: &mut PhaseOut<P, S>,
+) -> Result<(), Abort>
 where
     P: Pops + Send + Sync,
+    B: Borrow<Plan<P>> + Sync,
+    S: Sink<P>,
 {
-    let nidb = engine.compiled.idbs.len();
-    let ctx = EvalCtx {
-        interner: &engine.interner,
-        adom: &engine.adom,
-        pops_edb: &engine.pops_edb,
-        bool_edb: &engine.bool_edb,
-        idb_new: &state.new,
-        idb_changed: &state.changed,
-        idb_delta: &state.delta,
-    };
-    let mut global: Accum<P> = engine.empty_accums();
-    let mut global_fresh: FreshAccum<P> = (0..nidb).map(|_| BTreeMap::new()).collect();
-    let threads = opts.effective_threads();
-    let estimates: Vec<(usize, bool)> = plans
-        .iter()
-        .map(|p| engine.step0_estimate(p, &state.new, &state.delta))
-        .collect();
-    let total: usize = estimates.iter().map(|(e, _)| e).sum();
-
-    if threads <= 1 || total < opts.par_threshold {
+    let ctx = engine.ctx(state);
+    // One thread never fans out, so it skips even the estimate pass: the
+    // frontier fires thousands of often tiny batches per run.
+    let mut tasks = None;
+    if run.threads > 1 {
+        let estimates: Vec<(usize, bool)> = plans
+            .iter()
+            .map(|plan| engine.step0_estimate(plan.borrow(), state))
+            .collect();
+        if estimates.iter().map(|(e, _)| e).sum::<usize>() >= run.par_threshold {
+            tasks = Some(chunk_tasks(&estimates, run.threads, run.chunk_min));
+        }
+    }
+    let Some(tasks) = tasks else {
         for plan in plans {
-            let acc = &mut global[plan.head_pred];
-            let facc = &mut global_fresh[plan.head_pred];
+            let plan = plan.borrow();
+            let sink = &mut out.sinks[plan.head_pred];
+            let facc = &mut out.fresh[plan.head_pred];
             let mut counters = ExecCounters::default();
             let t = Instant::now();
             catch_unwind(AssertUnwindSafe(|| {
@@ -649,23 +849,22 @@ where
                     &ctx,
                     None,
                     &mut counters,
-                    &mut |key, v| acc.merge(key, v),
+                    &mut |key, v| sink.emit(key, v),
                     &mut |key, v| merge_fresh(facc, key, v),
                 );
             }))
             .map_err(|p| Abort::WorkerPanic {
                 message: par::payload_message(p),
             })?;
-            col.add_plan(plan.pid, counters, t.elapsed().as_nanos() as u64);
+            run.col
+                .add_plan(plan.pid, counters, t.elapsed().as_nanos() as u64);
         }
-        return Ok((global, global_fresh));
-    }
-
-    let tasks = chunk_tasks(&estimates, threads, opts.chunk_min);
-    let results = par::run_indexed(tasks.len(), threads, |ti| {
+        return Ok(());
+    };
+    let results = par::run_indexed(tasks.len(), run.threads, |ti| {
         let (pi, range) = tasks[ti];
-        let plan = &plans[pi];
-        let mut local: AccumMap<P> = AccumMap::new(engine.compiled.idbs[plan.head_pred].1);
+        let plan = plans[pi].borrow();
+        let mut local = S::for_arity(engine.compiled.idbs[plan.head_pred].1);
         let mut local_fresh: BTreeMap<Box<[HeadVal]>, P> = BTreeMap::new();
         let mut counters = ExecCounters::default();
         let t = Instant::now();
@@ -674,33 +873,320 @@ where
             &ctx,
             range,
             &mut counters,
-            &mut |key, v| local.merge(key, v),
+            &mut |key, v| local.emit(key, v),
             &mut |key, v| merge_fresh(&mut local_fresh, key, v),
         );
-        let nanos = t.elapsed().as_nanos() as u64;
         (
-            plan.pid,
-            plan.head_pred,
+            plan,
             local,
             local_fresh,
             counters,
-            nanos,
+            t.elapsed().as_nanos() as u64,
         )
     })
     .map_err(|message| Abort::WorkerPanic { message })?;
-    col.parallel_batch(tasks.len());
-    // `run_indexed` returns results in task order, so the `⊕`-merge
-    // association, the fresh-map contents, and the counter sums are all
-    // deterministic (chunks of one plan contribute additively).
-    for (pid, pred, local, local_fresh, counters, nanos) in results {
-        col.add_plan(pid, counters, nanos);
-        global[pred].absorb(local);
-        let facc = &mut global_fresh[pred];
+    run.col.parallel_batch(tasks.len());
+    for (plan, local, local_fresh, counters, nanos) in results {
+        run.col.add_plan(plan.pid, counters, nanos);
+        out.sinks[plan.head_pred].absorb(local);
         for (key, v) in local_fresh {
-            merge_fresh(facc, &key, v);
+            merge_fresh(&mut out.fresh[plan.head_pred], &key, v);
         }
     }
-    Ok((global, global_fresh))
+    Ok(())
+}
+
+/// Folds one phase's output into state through `row`: every sink's
+/// emissions, then the fresh head keys, minted to ids in sorted
+/// key order (timed as the `mint` phase). Set-valued (magic) predicates
+/// reach `row` flagged and at value `1`, whatever their plans summed:
+/// demand is a set.
+pub(crate) fn fold_phase<P: Pops, S: Sink<P>>(
+    engine: &mut Engine<P>,
+    out: &mut PhaseOut<P, S>,
+    col: &mut Collector,
+    mut row: impl FnMut(&mut Counters, usize, bool, &[u32], P),
+) {
+    let set_valued = &engine.compiled.set_valued;
+    let mut fold = |c: &mut Counters, pred: usize, key: &[u32], v: P| {
+        let sv = set_valued[pred];
+        row(c, pred, sv, key, if sv { P::one() } else { v });
+    };
+    for (pred, sink) in out.sinks.iter_mut().enumerate() {
+        let c = &mut col.stats.counters;
+        sink.drain(|key, v| fold(c, pred, key, v));
+    }
+    let t_mint = Instant::now();
+    let minted_before = engine.interner.len();
+    for (pred, acc) in out.fresh.iter_mut().enumerate() {
+        for (key, v) in std::mem::take(acc) {
+            let key = mint_key(&mut engine.interner, &key);
+            fold(&mut col.stats.counters, pred, &key, v);
+        }
+    }
+    col.stats.counters.minted_ids += (engine.interner.len() - minted_before) as u64;
+    col.stats.phases.mint += t_mint.elapsed().as_nanos() as u64;
+}
+
+/// Opens one global phase at `step`: the governance checkpoint, then
+/// `plans` run into `⊕`-accumulators, returned with the counters the
+/// phase started from.
+fn global_phase<P: Pops + Send + Sync>(
+    engine: &Engine<P>,
+    state: &IdbState<P>,
+    plans: &[Plan<P>],
+    step: usize,
+    checkpoint: Checkpoint,
+    run: &mut RunCx,
+) -> Result<(PhaseOut<P, AccumMap<P>>, Counters), LoopFail> {
+    run.check(step, checkpoint)?;
+    let before = run.col.stats.counters;
+    let mut out = PhaseOut::new(engine);
+    run_phase(engine, plans, state, run, &mut out).map_err(LoopFail::at(checkpoint, step))?;
+    Ok((out, before))
+}
+
+/// The naïve loop `J ↦ F(J)` with `plans` as `F`, from the current
+/// state until a step reproduces its input. Any pre-fixpoint start
+/// converges to the least fixpoint: the empty state of a from-scratch
+/// run, the old fixpoint after an insert, the survivors after a delete.
+/// Steps count from 0; the step that reproduces its input is the
+/// converged step.
+pub(crate) fn naive_loop<P: NaturallyOrdered + Send + Sync>(
+    engine: &mut Engine<P>,
+    state: &mut IdbState<P>,
+    plans: &[Plan<P>],
+    cap: usize,
+    run: &mut RunCx,
+) -> Result<usize, LoopFail> {
+    for steps in 0..=cap {
+        let (mut out, before) =
+            global_phase(engine, state, plans, steps, Checkpoint::Iteration, run)?;
+        let mut next = engine.empty_idbs();
+        fold_phase(engine, &mut out, &mut run.col, |_, pred, _, key, v| {
+            next[pred].insert_row(key, v);
+        });
+        let fixed = next
+            .iter()
+            .zip(&state.new)
+            .all(|(n, c)| n.len() == c.len() && n.iter().all(|(_, k, v)| c.get(k) == Some(v)));
+        run.col.end_step(steps, 0, 0, &before);
+        if fixed {
+            return Ok(steps);
+        }
+        let t_arr = Instant::now();
+        let mut arranged = false;
+        for (pred, rel) in next.iter_mut().enumerate() {
+            arranged |= ensure_probes(rel, &engine.idb_new_masks[pred], engine.join_mode);
+            rel.succeed_version(&state.new[pred]);
+        }
+        if arranged {
+            run.col.arrange_phase(t_arr.elapsed().as_nanos() as u64);
+        }
+        state.new = next;
+    }
+    Err(LoopFail::Diverged)
+}
+
+/// The semi-naïve seed, step 0: `J(1) = F(0)` with `plans` as `F`, and
+/// `δ(0) = J(1)`, every row marked as appended.
+pub(crate) fn seminaive_seed<P: Pops + Send + Sync>(
+    engine: &mut Engine<P>,
+    state: &mut IdbState<P>,
+    plans: &[Plan<P>],
+    run: &mut RunCx,
+) -> Result<(), LoopFail> {
+    let (mut out, before) = global_phase(engine, state, plans, 0, Checkpoint::Phase, run)?;
+    fold_phase(engine, &mut out, &mut run.col, |c, pred, _, key, v| {
+        let r = state.new[pred].insert_row(key, v.clone());
+        state.changed[pred].insert(r, None);
+        state.delta[pred].append_row(key, v);
+        c.rows_inserted += 1;
+    });
+    index_delta(engine, state, &mut run.col);
+    run.col.end_step(0, 0, 0, &before);
+    Ok(())
+}
+
+/// The semi-naïve delta loop after phase `start`: each step runs `plans`
+/// against δ and advances ([`seminaive_step`]) until δ drains. It
+/// converges at the first step whose δ is empty — a from-scratch run
+/// whose δ drains after `k` iterations converges at step `k + 1` — and
+/// diverges when that step would pass `cap`.
+pub(crate) fn seminaive_loop<P>(
+    engine: &mut Engine<P>,
+    state: &mut IdbState<P>,
+    plans: &[Plan<P>],
+    start: usize,
+    cap: usize,
+    run: &mut RunCx,
+) -> Result<usize, LoopFail>
+where
+    P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync,
+{
+    for steps in start + 1..=cap {
+        if state.delta.iter().all(|d| d.is_empty()) {
+            return Ok(steps);
+        }
+        let delta_rows: u64 = state.delta.iter().map(|d| d.len() as u64).sum();
+        seminaive_step(
+            engine,
+            state,
+            plans,
+            steps,
+            delta_rows,
+            Checkpoint::Iteration,
+            run,
+        )?;
+    }
+    Err(LoopFail::Diverged)
+}
+
+/// One semi-naïve step: runs `plans` and folds their contributions in
+/// with [`apply_contrib`]. The delta loop's body, and the seed of an
+/// edit's continuation (an insert's telescoped differential, a delete's
+/// rederive). `delta_rows` is the step's input size for the stats.
+pub(crate) fn seminaive_step<P>(
+    engine: &mut Engine<P>,
+    state: &mut IdbState<P>,
+    plans: &[Plan<P>],
+    step: usize,
+    delta_rows: u64,
+    checkpoint: Checkpoint,
+    run: &mut RunCx,
+) -> Result<(), LoopFail>
+where
+    P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync,
+{
+    let (out, before) = global_phase(engine, state, plans, step, checkpoint, run)?;
+    apply_contrib(engine, state, out, &mut run.col);
+    run.col.end_step(step, delta_rows, 0, &before);
+    Ok(())
+}
+
+/// The semi-naïve **advance**: merges one phase's accumulated
+/// contributions into the IDB state — `δ' = contrib ⊖ new` (pointwise
+/// on supports), `new' = new ⊕ contrib` — and leaves `state.delta`
+/// holding the next iteration's indexed delta. Fresh head keys name rows
+/// that cannot exist yet, so for them `δ' = v ⊖ 0` and the insert is an
+/// append.
+fn apply_contrib<P>(
+    engine: &mut Engine<P>,
+    state: &mut IdbState<P>,
+    mut contrib: PhaseOut<P, AccumMap<P>>,
+    col: &mut Collector,
+) where
+    P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync,
+{
+    let mut next_delta = engine.empty_idbs();
+    for ch in &mut state.changed {
+        ch.clear();
+    }
+    fold_phase(engine, &mut contrib, col, |c, pred, sv, key, v| {
+        let new = &mut state.new[pred];
+        if sv {
+            // Set-valued (magic) rows: present means settled — no
+            // merge, no delta for already-demanded bindings.
+            if new.rowid(key).is_none() {
+                next_delta[pred].append_row(key, P::one());
+                let r = new.insert_row(key, P::one());
+                state.changed[pred].insert(r, None);
+                c.rows_inserted += 1;
+            } else {
+                c.set_valued_shortcircuits += 1;
+            }
+            return;
+        }
+        let existing = new.get(key).cloned().unwrap_or_else(P::zero);
+        let diff = v.minus(&existing);
+        if diff.is_zero() {
+            c.merges_absorbed += 1;
+            return;
+        }
+        next_delta[pred].append_row(key, diff);
+        match new.rowid(key) {
+            Some(r) => {
+                let merged = existing.add(&v);
+                state.changed[pred].insert(r, Some(existing));
+                new.set_val(r, merged);
+                c.rows_improved += 1;
+            }
+            None => {
+                let r = new.insert_row(key, v);
+                state.changed[pred].insert(r, None);
+                c.rows_inserted += 1;
+            }
+        }
+    });
+    state.delta = next_delta;
+    index_delta(engine, state, col);
+}
+
+/// Ensures Δ's probe structures (timed as the `arrange` phase when any
+/// is an arrangement) and drains the arrangement-merge counters: the
+/// tail of every phase that refilled Δ.
+fn index_delta<P: Pops>(engine: &Engine<P>, state: &mut IdbState<P>, col: &mut Collector) {
+    let t_arr = Instant::now();
+    if ensure_delta_indexes(engine, state) {
+        col.arrange_phase(t_arr.elapsed().as_nanos() as u64);
+    }
+    drain_arrange_merges(state, col);
+}
+
+/// A from-scratch run: the [`prologue`], then `body` (the strategy's
+/// loop) over a fresh IDB state, and the one place its result becomes
+/// the public outcome. Hitting the cap is `Ok(Diverged)`; a governed
+/// abort returns the boxed [`AbortedEval`] — the typed error plus the
+/// abort-time IDB state, exact on the settled rows of a `"priority"`
+/// run and a best-effort lower bound otherwise (`J(t) ⊑ lfp` is the
+/// loop invariant of every strategy).
+pub(crate) fn drive<P: Pops + Send + Sync>(
+    mut engine: Engine<P>,
+    opts: &EngineOpts,
+    strategy: &str,
+    setup_ns: u64,
+    frontier: bool,
+    cap: usize,
+    body: impl FnOnce(
+        &mut Engine<P>,
+        &mut IdbState<P>,
+        &mut SettledMark,
+        &mut RunCx,
+    ) -> Result<usize, LoopFail>,
+) -> Result<InternedOutcome<P>, Box<AbortedEval<P>>> {
+    let nidb = engine.compiled.idbs.len();
+    let mut settled = if strategy == "priority" {
+        SettledMark::exact_empty(nidb)
+    } else {
+        SettledMark::best_effort(nidb)
+    };
+    let mut state = IdbState::new(&engine);
+    let (mut run, ready) = prologue(&mut engine, &mut state, opts, strategy, setup_ns, frontier);
+    let result = ready.and_then(|()| body(&mut engine, &mut state, &mut settled, &mut run));
+    let eval_ns = run.eval_ns();
+    match result {
+        Ok(steps) => Ok(InternedOutcome::Converged {
+            stats: run.col.finish(steps, true, eval_ns),
+            output: finish(engine, state.new),
+            steps,
+        }),
+        Err(LoopFail::Diverged) => Ok(InternedOutcome::Diverged {
+            stats: run.col.finish(cap, false, eval_ns),
+            last: finish(engine, state.new),
+            cap,
+        }),
+        Err(LoopFail::Abort {
+            abort,
+            checkpoint,
+            steps,
+        }) => {
+            let settled_rows = settled.settled_rows();
+            let error = abort_error(abort, checkpoint, settled_rows, run.col, steps, eval_ns);
+            let stats = error.stats().cloned().unwrap_or_default();
+            let partial = PartialOutput::new(finish(engine, state.new), settled, stats);
+            Err(Box::new(AbortedEval::new(error, partial)))
+        }
+    }
 }
 
 /// Naïve evaluation on the engine: `J(t+1) = F(J(t))` with every IDB
@@ -754,14 +1240,13 @@ where
         .materialize())
 }
 
-/// The naïve loop over a prepared [`Engine`] (shared by the classic
+/// The naïve run over a prepared [`Engine`] (shared by the classic
 /// entry points and the demand-rewritten query path). `setup_ns` is the
-/// caller-measured compile/intern time, recorded into the stats. A
-/// governed abort returns the boxed [`AbortedEval`]: the typed error
-/// plus the abort-time IDB state as a best-effort lower bound (the
-/// naïve loop never settles rows early).
+/// caller-measured compile/intern time, recorded into the stats. The
+/// naïve loop never settles rows early, so an abort's partial is a
+/// best-effort lower bound.
 pub(crate) fn naive_run<P>(
-    mut engine: Engine<P>,
+    engine: Engine<P>,
     cap: usize,
     opts: &EngineOpts,
     setup_ns: u64,
@@ -769,143 +1254,16 @@ pub(crate) fn naive_run<P>(
 where
     P: NaturallyOrdered + Send + Sync,
 {
-    let mode = opts.effective_join_mode();
-    engine.join_mode = mode;
-    let mut col = Collector::new(
-        "naive",
-        opts.effective_threads(),
-        setup_ns,
-        engine.compiled.plan_metas_for(mode),
+    let compiled = Arc::clone(&engine.compiled);
+    drive(
+        engine,
         opts,
-    );
-    let gov = Governor::new(opts, setup_ns);
-    let nidb = engine.compiled.idbs.len();
-    // Pre-index phase checkpoint: a cancelled or already-over-deadline
-    // run (setup time is backdated into the governor) stops before
-    // paying for the EDB index build.
-    if let Err(a) = gov.check(0, &mut col) {
-        let rels = engine.empty_idbs();
-        let settled = SettledMark::best_effort(nidb);
-        return Err(abort_with_partial(
-            a,
-            Checkpoint::Phase,
-            engine,
-            rels,
-            settled,
-            col,
-            0,
-            0,
-        ));
-    }
-    let t = Instant::now();
-    if let Err(a) = engine.build_edb_indexes(&[], opts.effective_threads()) {
-        let rels = engine.empty_idbs();
-        let settled = SettledMark::best_effort(nidb);
-        return Err(abort_with_partial(
-            a,
-            Checkpoint::Phase,
-            engine,
-            rels,
-            settled,
-            col,
-            0,
-            0,
-        ));
-    }
-    col.edb_index_phase(t.elapsed().as_nanos() as u64);
-    let t_eval = Instant::now();
-    let mut state = IdbState {
-        new: engine.empty_idbs(),
-        changed: vec![FxHashMap::default(); nidb],
-        delta: engine.empty_idbs(),
-    };
-    let t_arr = Instant::now();
-    let mut arranged = false;
-    for (pred, rel) in state.new.iter_mut().enumerate() {
-        arranged |= ensure_probes(rel, &engine.idb_new_masks[pred], mode);
-    }
-    if arranged {
-        col.arrange_phase(t_arr.elapsed().as_nanos() as u64);
-    }
-    for steps in 0..=cap {
-        if let Err(a) = gov.check(steps as u64, &mut col) {
-            return Err(abort_with_partial(
-                a,
-                Checkpoint::Iteration,
-                engine,
-                state.new,
-                SettledMark::best_effort(nidb),
-                col,
-                steps,
-                t_eval.elapsed().as_nanos() as u64,
-            ));
-        }
-        let before = col.stats.counters;
-        let ran = run_plans(&engine, &engine.compiled.seed_plans, &state, opts, &mut col);
-        let (contrib, fresh) = match ran {
-            Ok(r) => r,
-            Err(a) => {
-                return Err(abort_with_partial(
-                    a,
-                    Checkpoint::Iteration,
-                    engine,
-                    state.new,
-                    SettledMark::best_effort(nidb),
-                    col,
-                    steps,
-                    t_eval.elapsed().as_nanos() as u64,
-                ))
-            }
-        };
-        let mut next = engine.empty_idbs();
-        for (pred, acc) in contrib.into_iter().enumerate() {
-            // Set-valued (magic) rows always hold `1`: demand is a set,
-            // whatever `⊕`-sum the plans accumulated.
-            let sv = engine.compiled.set_valued[pred];
-            acc.drain_sorted(|key, v| {
-                next[pred].insert_row(key, if sv { P::one() } else { v });
-            });
-        }
-        let t_mint = Instant::now();
-        let minted_before = engine.interner.len();
-        for (pred, acc) in fresh.into_iter().enumerate() {
-            let sv = engine.compiled.set_valued[pred];
-            for (key, v) in acc {
-                let key = mint_key(&mut engine.interner, &key);
-                next[pred].insert_row(&key, if sv { P::one() } else { v });
-            }
-        }
-        col.stats.counters.minted_ids += (engine.interner.len() - minted_before) as u64;
-        col.stats.phases.mint += t_mint.elapsed().as_nanos() as u64;
-        let fixed = next
-            .iter()
-            .zip(&state.new)
-            .all(|(n, c)| n.len() == c.len() && n.iter().all(|(_, k, v)| c.get(k) == Some(v)));
-        col.end_step(steps, 0, 0, &before);
-        if fixed {
-            let stats = col.finish(steps, true, t_eval.elapsed().as_nanos() as u64);
-            return Ok(InternedOutcome::Converged {
-                output: finish(engine, state.new),
-                steps,
-                stats,
-            });
-        }
-        let t_arr = Instant::now();
-        let mut arranged = false;
-        for (pred, rel) in next.iter_mut().enumerate() {
-            arranged |= ensure_probes(rel, &engine.idb_new_masks[pred], mode);
-        }
-        if arranged {
-            col.arrange_phase(t_arr.elapsed().as_nanos() as u64);
-        }
-        state.new = next;
-    }
-    let stats = col.finish(cap, false, t_eval.elapsed().as_nanos() as u64);
-    Ok(InternedOutcome::Diverged {
-        last: finish(engine, state.new),
+        "naive",
+        setup_ns,
+        false,
         cap,
-        stats,
-    })
+        |engine, state, _, run| naive_loop(engine, state, &compiled.seed_plans, cap, run),
+    )
 }
 
 /// Parallel semi-naïve evaluation on the engine (Theorem 6.5). Agrees
@@ -1003,14 +1361,12 @@ where
     seminaive_run(engine, cap, opts, setup_ns).map_err(|b| EvalError::from(*b))
 }
 
-/// The parallel semi-naïve loop over a prepared [`Engine`] (shared by
-/// the classic, interned-EDB, and demand-rewritten query entry points).
-/// A governed abort returns the boxed [`AbortedEval`]: the typed error
-/// plus the abort-time IDB state as a best-effort lower bound
-/// (`J(t) ⊑ lfp` is the loop invariant, but nothing is settled until
-/// convergence).
+/// The parallel semi-naïve run over a prepared [`Engine`] (shared by
+/// the classic, interned-EDB, and demand-rewritten query entry points):
+/// the seed, then the delta loop. Nothing is settled until convergence,
+/// so an abort's partial is a best-effort lower bound.
 pub(crate) fn seminaive_run<P>(
-    mut engine: Engine<P>,
+    engine: Engine<P>,
     cap: usize,
     opts: &EngineOpts,
     setup_ns: u64,
@@ -1018,281 +1374,19 @@ pub(crate) fn seminaive_run<P>(
 where
     P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync,
 {
-    let mode = opts.effective_join_mode();
-    engine.join_mode = mode;
-    let mut col = Collector::new(
-        "seminaive",
-        opts.effective_threads(),
-        setup_ns,
-        engine.compiled.plan_metas_for(mode),
+    let compiled = Arc::clone(&engine.compiled);
+    drive(
+        engine,
         opts,
-    );
-    let gov = Governor::new(opts, setup_ns);
-    let nidb = engine.compiled.idbs.len();
-    // Pre-index phase checkpoint (see `naive_run`).
-    if let Err(a) = gov.check(0, &mut col) {
-        let rels = engine.empty_idbs();
-        let settled = SettledMark::best_effort(nidb);
-        return Err(abort_with_partial(
-            a,
-            Checkpoint::Phase,
-            engine,
-            rels,
-            settled,
-            col,
-            0,
-            0,
-        ));
-    }
-    let t = Instant::now();
-    if let Err(a) = engine.build_edb_indexes(&[], opts.effective_threads()) {
-        let rels = engine.empty_idbs();
-        let settled = SettledMark::best_effort(nidb);
-        return Err(abort_with_partial(
-            a,
-            Checkpoint::Phase,
-            engine,
-            rels,
-            settled,
-            col,
-            0,
-            0,
-        ));
-    }
-    col.edb_index_phase(t.elapsed().as_nanos() as u64);
-    let t_eval = Instant::now();
-    let mut state = IdbState {
-        new: engine.empty_idbs(),
-        changed: vec![FxHashMap::default(); nidb],
-        delta: engine.empty_idbs(),
-    };
-    let t_arr = Instant::now();
-    let mut arranged = false;
-    for (pred, rel) in state.new.iter_mut().enumerate() {
-        arranged |= ensure_probes(rel, &engine.idb_new_masks[pred], mode);
-    }
-    if arranged {
-        col.arrange_phase(t_arr.elapsed().as_nanos() as u64);
-    }
-    // Seeding: J(1) = F(0), δ(0) = J(1), every row marked as appended.
-    if let Err(a) = gov.check(0, &mut col) {
-        return Err(abort_with_partial(
-            a,
-            Checkpoint::Phase,
-            engine,
-            state.new,
-            SettledMark::best_effort(nidb),
-            col,
-            0,
-            t_eval.elapsed().as_nanos() as u64,
-        ));
-    }
-    let seed_before = col.stats.counters;
-    let ran = run_plans(&engine, &engine.compiled.seed_plans, &state, opts, &mut col);
-    let (contrib, fresh) = match ran {
-        Ok(r) => r,
-        Err(a) => {
-            return Err(abort_with_partial(
-                a,
-                Checkpoint::Phase,
-                engine,
-                state.new,
-                SettledMark::best_effort(nidb),
-                col,
-                0,
-                t_eval.elapsed().as_nanos() as u64,
-            ))
-        }
-    };
-    for (pred, acc) in contrib.into_iter().enumerate() {
-        // Set-valued (magic) rows enter — and forever stay — at `1`.
-        let sv = engine.compiled.set_valued[pred];
-        acc.drain_sorted(|key, v| {
-            let v = if sv { P::one() } else { v };
-            let r = state.new[pred].insert_row(key, v.clone());
-            state.changed[pred].insert(r, None);
-            state.delta[pred].append_row(key, v);
-            col.stats.counters.rows_inserted += 1;
-        });
-    }
-    let t_mint = Instant::now();
-    let minted_before = engine.interner.len();
-    for (pred, acc) in fresh.into_iter().enumerate() {
-        let sv = engine.compiled.set_valued[pred];
-        for (key, v) in acc {
-            let v = if sv { P::one() } else { v };
-            let key = mint_key(&mut engine.interner, &key);
-            let r = state.new[pred].insert_row(&key, v.clone());
-            state.changed[pred].insert(r, None);
-            state.delta[pred].append_row(&key, v);
-            col.stats.counters.rows_inserted += 1;
-        }
-    }
-    col.stats.counters.minted_ids += (engine.interner.len() - minted_before) as u64;
-    col.stats.phases.mint += t_mint.elapsed().as_nanos() as u64;
-    let t_arr = Instant::now();
-    if ensure_delta_indexes(&engine, &mut state) {
-        col.arrange_phase(t_arr.elapsed().as_nanos() as u64);
-    }
-    drain_arrange_merges(&mut state, &mut col);
-    col.end_step(0, 0, 0, &seed_before);
-
-    for steps in 1..=cap {
-        if state.delta.iter().all(|d| d.is_empty()) {
-            let stats = col.finish(steps, true, t_eval.elapsed().as_nanos() as u64);
-            return Ok(InternedOutcome::Converged {
-                output: finish(engine, state.new),
-                steps,
-                stats,
-            });
-        }
-        if let Err(a) = gov.check(steps as u64, &mut col) {
-            return Err(abort_with_partial(
-                a,
-                Checkpoint::Iteration,
-                engine,
-                state.new,
-                SettledMark::best_effort(nidb),
-                col,
-                steps,
-                t_eval.elapsed().as_nanos() as u64,
-            ));
-        }
-        let before = col.stats.counters;
-        let delta_rows: u64 = state.delta.iter().map(|d| d.len() as u64).sum();
-        let ran = run_plans(
-            &engine,
-            &engine.compiled.delta_plans,
-            &state,
-            opts,
-            &mut col,
-        );
-        let (contrib, fresh) = match ran {
-            Ok(r) => r,
-            Err(a) => {
-                return Err(abort_with_partial(
-                    a,
-                    Checkpoint::Iteration,
-                    engine,
-                    state.new,
-                    SettledMark::best_effort(nidb),
-                    col,
-                    steps,
-                    t_eval.elapsed().as_nanos() as u64,
-                ))
-            }
-        };
-        apply_contrib(&mut engine, &mut state, contrib, fresh, &mut col);
-        col.end_step(steps, delta_rows, 0, &before);
-    }
-    let stats = col.finish(cap, false, t_eval.elapsed().as_nanos() as u64);
-    Ok(InternedOutcome::Diverged {
-        last: finish(engine, state.new),
+        "seminaive",
+        setup_ns,
+        false,
         cap,
-        stats,
-    })
-}
-
-/// The semi-naïve **advance**: merges one phase's accumulated
-/// contributions into the IDB state — `δ' = contrib ⊖ new` (pointwise
-/// on supports), `new' = new ⊕ contrib` — minting fresh head keys
-/// between phases, and leaves `state.delta` holding the next
-/// iteration's indexed delta. Shared by [`seminaive_run`]'s loop and
-/// the incremental maintenance driver in [`crate::incremental`], whose
-/// edit paths seed the very same advance from edit-delta plans.
-pub(crate) fn apply_contrib<P>(
-    engine: &mut Engine<P>,
-    state: &mut IdbState<P>,
-    contrib: Accum<P>,
-    fresh: FreshAccum<P>,
-    col: &mut Collector,
-) where
-    P: NaturallyOrdered + CompleteDistributiveDioid + Send + Sync,
-{
-    // Advance: δ' = contrib ⊖ new (pointwise), new' = new ⊕ contrib.
-    let mut next_delta = engine.empty_idbs();
-    for ch in &mut state.changed {
-        ch.clear();
-    }
-    for (pred, acc) in contrib.into_iter().enumerate() {
-        let sv = engine.compiled.set_valued[pred];
-        let c = &mut col.stats.counters;
-        acc.drain_sorted(|key, v| {
-            if sv {
-                // Set-valued (magic) rows: present means settled —
-                // no merge, no delta for already-demanded bindings.
-                if state.new[pred].rowid(key).is_none() {
-                    next_delta[pred].append_row(key, P::one());
-                    let r = state.new[pred].insert_row(key, P::one());
-                    state.changed[pred].insert(r, None);
-                    c.rows_inserted += 1;
-                } else {
-                    c.set_valued_shortcircuits += 1;
-                }
-                return;
-            }
-            let existing = state.new[pred].get(key).cloned().unwrap_or_else(P::zero);
-            let diff = v.minus(&existing);
-            if diff.is_zero() {
-                c.merges_absorbed += 1;
-                return;
-            }
-            next_delta[pred].append_row(key, diff);
-            match state.new[pred].rowid(key) {
-                Some(r) => {
-                    let merged = existing.add(&v);
-                    state.changed[pred].insert(r, Some(existing));
-                    state.new[pred].set_val(r, merged);
-                    c.rows_improved += 1;
-                }
-                None => {
-                    let r = state.new[pred].insert_row(key, v);
-                    state.changed[pred].insert(r, None);
-                    c.rows_inserted += 1;
-                }
-            }
-        });
-    }
-    // Fresh head keys name rows that cannot exist yet (their minted
-    // cells were not interned when the phase ran), so δ' = v ⊖ 0 and
-    // the insert is always an append.
-    let t_mint = Instant::now();
-    let minted_before = engine.interner.len();
-    for (pred, acc) in fresh.into_iter().enumerate() {
-        let sv = engine.compiled.set_valued[pred];
-        for (key, v) in acc {
-            let v = if sv { P::one() } else { v };
-            let key = mint_key(&mut engine.interner, &key);
-            let diff = v.minus(&P::zero());
-            if diff.is_zero() {
-                col.stats.counters.merges_absorbed += 1;
-                continue;
-            }
-            next_delta[pred].append_row(&key, diff);
-            let r = state.new[pred].insert_row(&key, v);
-            state.changed[pred].insert(r, None);
-            col.stats.counters.rows_inserted += 1;
-        }
-    }
-    col.stats.counters.minted_ids += (engine.interner.len() - minted_before) as u64;
-    col.stats.phases.mint += t_mint.elapsed().as_nanos() as u64;
-    state.delta = next_delta;
-    let t_arr = Instant::now();
-    if ensure_delta_indexes(engine, state) {
-        col.arrange_phase(t_arr.elapsed().as_nanos() as u64);
-    }
-    drain_arrange_merges(state, col);
-}
-
-/// Ensures the per-iteration delta's probe structures under the
-/// engine's resolved [`JoinMode`]; returns whether any dispatched to an
-/// arrangement (see [`ensure_probes`]).
-pub(crate) fn ensure_delta_indexes<P: Pops>(engine: &Engine<P>, state: &mut IdbState<P>) -> bool {
-    let mut arranged = false;
-    for (pred, rel) in state.delta.iter_mut().enumerate() {
-        arranged |= ensure_probes(rel, &engine.idb_delta_masks[pred], engine.join_mode);
-    }
-    arranged
+        |engine, state, _, run| {
+            seminaive_seed(engine, state, &compiled.seed_plans, run)?;
+            seminaive_loop(engine, state, &compiled.delta_plans, 0, cap, run)
+        },
+    )
 }
 
 #[cfg(test)]

@@ -64,6 +64,19 @@
 //! seed plans only — the variant rules stay out, since naïve steps
 //! recompute full sums and the differential would double-count.
 //!
+//! ## On the kernel
+//!
+//! A `Materialization` runs on the evaluation kernel of
+//! [`crate::driver`]. A build takes the shared run prologue, then runs
+//! the shared naïve loop, or the shared semi-naïve seed and delta loop,
+//! over the original rules. An insert is one semi-naïve step over the
+//! variant plans followed by the delta loop. A delete rederives after
+//! the DRed marking pass — which only borrows the shared phase runner —
+//! with one semi-naïve step over the original seed plans and the delta
+//! loop, or with the naïve loop. Steps and the cap follow one
+//! convention: a build reports the steps that `engine_seminaive_eval`
+//! (or `engine_naive_eval`) reports on the same EDB.
+//!
 //! ## Contract
 //!
 //! * Edits target **POPS EDB relations** only (Boolean guard EDBs are
@@ -93,16 +106,15 @@
 //!   the derivation the interrupted edit began.
 
 use crate::driver::{
-    apply_contrib, drain_arrange_merges, ensure_delta_indexes, ensure_probes, mint_key, run_plans,
-    setup_checked, setup_interned_checked, Engine, EngineOpts, IdbState,
+    add_mask, ensure_delta_indexes, ensure_probes, naive_loop, prologue, run_phase, seminaive_loop,
+    seminaive_seed, seminaive_step, setup_checked, setup_interned_checked, Engine, EngineOpts,
+    IdbState, LoopFail, PhaseOut, RunCx,
 };
-use crate::govern::{abort_error, Abort, Checkpoint, Governor};
-use crate::hash::FxHashMap;
+use crate::govern::{abort_error, Checkpoint};
 use crate::output::{InternedOutput, PartialOutput, SettledMark};
 use crate::plan::{Plan, Source, EDB_DELTA_SUFFIX, EDB_OLD_SUFFIX};
 use crate::query::{engine_query_eval_interned_edb, QueryAnswer};
-use crate::storage::{ColMask, ColumnRel};
-use crate::telemetry::Collector;
+use crate::storage::{AccumMap, ColMask, ColumnRel};
 use crate::worklist::Strategy;
 use dlo_core::ast::{Program, Rule};
 use dlo_core::edit::{Edit, FactDelete, FactInsert};
@@ -189,30 +201,29 @@ pub struct Materialization<P: Pops> {
     partial: Option<PartialOutput<P>>,
 }
 
-/// A failed maintenance loop: why it stopped, plus the completed step
-/// count at the stop (the collector still needs finishing).
-enum LoopFail {
-    /// Governed interruption or contained worker panic.
-    Abort(Abort, usize),
-    /// Step-cap overrun: the program diverges on the edited EDB.
-    Diverged(usize),
-}
-
-/// Finishes the collector for a failed loop and builds the public
-/// error (the caller decides whether the failure poisons the handle).
-fn fail_error(cap: usize, fail: LoopFail, col: Collector, eval_ns: u64) -> EvalError {
-    match fail {
-        LoopFail::Abort(a, steps) => abort_error(a, Checkpoint::Iteration, 0, col, steps, eval_ns),
-        LoopFail::Diverged(steps) => {
-            let stats = col.finish(steps, false, eval_ns);
-            EvalError::Diverged {
-                cap,
-                diagnostic: format!(
-                    "maintenance did not converge within {cap} steps: the program diverges on the edited EDB"
-                ),
-                stats: Box::new(stats),
-            }
-        }
+/// Finishes a build's or edit's run: its stats on convergence, else the
+/// public error (the caller decides whether the failure poisons the
+/// handle).
+fn finish_run(
+    run: RunCx,
+    cap: usize,
+    result: Result<usize, LoopFail>,
+) -> Result<EvalStats, EvalError> {
+    let eval_ns = run.eval_ns();
+    match result {
+        Ok(steps) => Ok(run.col.finish(steps, true, eval_ns)),
+        Err(LoopFail::Abort {
+            abort,
+            checkpoint,
+            steps,
+        }) => Err(abort_error(abort, checkpoint, 0, run.col, steps, eval_ns)),
+        Err(LoopFail::Diverged) => Err(EvalError::Diverged {
+            cap,
+            diagnostic: format!(
+                "maintenance did not converge within {cap} steps: the program diverges on the edited EDB"
+            ),
+            stats: Box::new(run.col.finish(cap, false, eval_ns)),
+        }),
     }
 }
 
@@ -273,7 +284,7 @@ fn maintenance_program<P: Pops>(program: &Program<P>) -> Result<MaintenanceProgr
 impl<P: Pops + Send + Sync> Materialization<P> {
     /// Shared construction: compile the maintenance program, partition
     /// plans, and resolve the edit slots. The fixpoint itself is run by
-    /// the public constructors.
+    /// [`Materialization::built`].
     fn prepare(
         program: &Program<P>,
         pops_edb: &Database<P>,
@@ -292,8 +303,7 @@ impl<P: Pops + Send + Sync> Materialization<P> {
         }
         let (aug, editable) = maintenance_program(program)?;
         let n_rules = program.rules.len();
-        let join_mode = opts.effective_join_mode();
-        let mut engine = match prev {
+        let engine = match prev {
             // Rebuild path: carry the retained interner forward (the
             // EDB relations themselves come from `pops_edb` — `prev`
             // holds no relations), so constant ids minted by earlier
@@ -301,24 +311,12 @@ impl<P: Pops + Send + Sync> Materialization<P> {
             Some(prev) => setup_interned_checked(&aug, prev, pops_edb, bool_edb, &[])?,
             None => setup_checked(&aug, pops_edb, bool_edb, &[])?,
         };
-        engine.join_mode = join_mode;
-        engine
-            .build_edb_indexes(&[], opts.effective_threads())
-            .map_err(|a| a.into_error(EvalStats::default()))?;
-        let seed_plans: Vec<Plan<P>> = engine
+        let (seed_plans, edit_plans): (Vec<Plan<P>>, Vec<Plan<P>>) = engine
             .compiled
             .seed_plans
             .iter()
-            .filter(|p| p.rule_idx < n_rules)
             .cloned()
-            .collect();
-        let edit_plans: Vec<Plan<P>> = engine
-            .compiled
-            .seed_plans
-            .iter()
-            .filter(|p| p.rule_idx >= n_rules)
-            .cloned()
-            .collect();
+            .partition(|p| p.rule_idx < n_rules);
         let delta_plans: Vec<Plan<P>> = engine
             .compiled
             .delta_plans
@@ -329,9 +327,7 @@ impl<P: Pops + Send + Sync> Materialization<P> {
         let mut pops_masks: Vec<Vec<ColMask>> = vec![vec![]; engine.pops_edb.len()];
         for &(source, mask) in &engine.edb_reqs {
             if let Source::PopsEdb(i) = source {
-                if !pops_masks[i].contains(&mask) {
-                    pops_masks[i].push(mask);
-                }
+                add_mask(&mut pops_masks[i], mask);
             }
         }
         let pos = |name: &str| engine.compiled.pops_edbs.iter().position(|n| n == name);
@@ -345,19 +341,10 @@ impl<P: Pops + Send + Sync> Materialization<P> {
                 arity,
             })
             .collect();
-        let nidb = engine.compiled.idbs.len();
-        let mut state = IdbState {
-            new: engine.empty_idbs(),
-            changed: vec![FxHashMap::default(); nidb],
-            delta: engine.empty_idbs(),
-        };
-        for (pred, rel) in state.new.iter_mut().enumerate() {
-            ensure_probes(rel, &engine.idb_new_masks[pred], join_mode);
-        }
         Ok(Materialization {
             program: program.clone(),
+            state: IdbState::new(&engine),
             engine,
-            state,
             seed_plans,
             edit_plans,
             delta_plans,
@@ -376,6 +363,103 @@ impl<P: Pops + Send + Sync> Materialization<P> {
             poisoned: None,
             partial: None,
         })
+    }
+
+    /// Runs the initial fixpoint of a prepared handle: the kernel's run
+    /// prologue (compile time since `t` counts as setup), then `body`.
+    /// A failed build returns no handle, so there is nothing to poison.
+    fn built(
+        mut self,
+        t: Instant,
+        label: &str,
+        body: impl FnOnce(&mut Self, &mut RunCx) -> Result<usize, LoopFail>,
+    ) -> Result<Self, EvalError> {
+        let setup_ns = t.elapsed().as_nanos() as u64;
+        let (mut run, ready) = prologue(
+            &mut self.engine,
+            &mut self.state,
+            &self.opts,
+            label,
+            setup_ns,
+            false,
+        );
+        let result = ready.and_then(|()| body(&mut self, &mut run));
+        self.last_stats = finish_run(run, self.cap, result)?;
+        self.settle();
+        Ok(self)
+    }
+
+    /// Re-derives the fixpoint into a fresh handle over the retained
+    /// classic EDB, carrying the retained interner forward (stable
+    /// constant ids), and swaps it in under the next epoch. A failed
+    /// rebuild leaves this handle as it was.
+    fn rebuilt(
+        &mut self,
+        label: &str,
+        body: impl FnOnce(&mut Self, &mut RunCx) -> Result<usize, LoopFail>,
+    ) -> Result<&EvalStats, EvalError> {
+        let t = Instant::now();
+        let prev = InternedOutput::new(self.engine.interner.clone(), vec![], vec![]);
+        let fresh = Self::prepare(
+            &self.program,
+            &self.edb,
+            &self.bool_edb,
+            self.cap,
+            self.strategy,
+            &self.opts,
+            Some(&prev),
+        )?;
+        *self = Materialization {
+            epoch: self.epoch + 1,
+            ..fresh.built(t, label, body)?
+        };
+        Ok(&self.last_stats)
+    }
+
+    /// Runs one governed edit begun at `t` (staging counts as setup):
+    /// `body` under the edit's own collector and governor, then its
+    /// stats — or, when it fails mid-flight, the typed error with the
+    /// handle poisoned.
+    fn edit(
+        &mut self,
+        label: &str,
+        t: Instant,
+        body: impl FnOnce(&mut Self, &mut RunCx) -> Result<usize, LoopFail>,
+    ) -> Result<&EvalStats, EvalError> {
+        let mut run = RunCx::new(
+            &self.engine,
+            &self.opts,
+            label,
+            t.elapsed().as_nanos() as u64,
+        );
+        run.start_eval();
+        let result = body(self, &mut run);
+        match finish_run(run, self.cap, result) {
+            Ok(stats) => {
+                self.settle();
+                self.last_stats = stats;
+                Ok(&self.last_stats)
+            }
+            Err(err) => Err(self.poison(err)),
+        }
+    }
+
+    /// The DRed marking and zero-out shared by both delete modes: marks
+    /// the affected closure against the pre-delete state, then drops
+    /// the deleted EDB rows and the affected IDB rows. Returns the
+    /// marking's step count and which IDBs lost rows.
+    fn zero_out(
+        &mut self,
+        run: &mut RunCx,
+        staged: &[(usize, HashSet<Box<[u32]>>)],
+    ) -> Result<(usize, Vec<bool>), LoopFail> {
+        let touched: Vec<usize> = staged.iter().map(|(si, _)| *si).collect();
+        let mut steps = 0usize;
+        let affected = self.affected_closure(run, &mut steps)?;
+        self.clear_edit_rels(&touched);
+        self.apply_edb_deletes(staged);
+        self.retract_affected(&affected);
+        Ok((steps, affected.iter().map(|a| !a.is_empty()).collect()))
     }
 
     /// The epoch counter: bumped by every edit.
@@ -551,8 +635,17 @@ impl<P: Pops + Send + Sync> Materialization<P> {
         self.snapshot.as_ref().expect("just built")
     }
 
-    fn begin_edit(&mut self) {
+    /// Opens an edit: the poisoned-bit gate, then batch validation
+    /// (both before any staging, so a rejected edit leaves the handle
+    /// untouched), then the epoch bump. Returns the edit's start.
+    fn begin_edit<'a>(
+        &mut self,
+        facts: impl Iterator<Item = (&'a str, usize)>,
+    ) -> Result<Instant, EvalError> {
+        self.check_poisoned()?;
+        self.validate_edits(facts)?;
         self.epoch += 1;
+        Ok(Instant::now())
     }
 
     /// Monotone count of probe-structure builds (hash indexes and
@@ -792,60 +885,22 @@ impl<P: Pops + Send + Sync> Materialization<P> {
     /// pre-delete state with empty `changed` maps.
     fn affected_closure(
         &mut self,
-        col: &mut Collector,
-        gov: &Governor,
+        run: &mut RunCx,
         steps: &mut usize,
     ) -> Result<Vec<HashSet<u32>>, LoopFail> {
         let nidb = self.engine.compiled.idbs.len();
         let mut affected: Vec<HashSet<u32>> = (0..nidb).map(|_| HashSet::new()).collect();
-        let before = col.stats.counters;
-        gov.check(*steps as u64, col)
-            .map_err(|a| LoopFail::Abort(a, *steps))?;
-        let (contrib, _fresh) =
-            run_plans(&self.engine, &self.edit_plans, &self.state, &self.opts, col)
-                .map_err(|a| LoopFail::Abort(a, *steps))?;
         let mut frontier: Vec<Vec<u32>> = vec![vec![]; nidb];
-        for (pred, acc) in contrib.into_iter().enumerate() {
-            let new = &self.state.new[pred];
-            let (aff, front) = (&mut affected[pred], &mut frontier[pred]);
-            acc.drain_sorted(|key, _| {
-                if let Some(r) = new.rowid(key) {
-                    if aff.insert(r) {
-                        front.push(r);
-                    }
-                }
-            });
-        }
-        col.end_step(*steps, 0, 0, &before);
-        while frontier.iter().any(|f| !f.is_empty()) {
-            gov.check(*steps as u64, col)
-                .map_err(|a| LoopFail::Abort(a, *steps))?;
-            if *steps >= self.cap {
-                return Err(LoopFail::Diverged(*steps));
-            }
-            *steps += 1;
-            let before = col.stats.counters;
-            let mut delta = self.engine.empty_idbs();
-            let mut delta_rows = 0u64;
-            for (pred, rows) in frontier.iter().enumerate() {
-                let new = &self.state.new[pred];
-                for &r in rows {
-                    delta[pred].append_row(new.row(r), new.val(r).clone());
-                    delta_rows += 1;
-                }
-            }
-            self.state.delta = delta;
-            ensure_delta_indexes(&self.engine, &mut self.state);
-            let (contrib, _fresh) = run_plans(
-                &self.engine,
-                &self.delta_plans,
-                &self.state,
-                &self.opts,
-                col,
-            )
-            .map_err(|a| LoopFail::Abort(a, *steps))?;
-            frontier = vec![vec![]; nidb];
-            for (pred, acc) in contrib.into_iter().enumerate() {
+        let mut delta_rows = 0u64;
+        let mut plans = &self.edit_plans;
+        run.check(*steps, Checkpoint::Iteration)?;
+        loop {
+            let before = run.col.stats.counters;
+            let mut out = PhaseOut::<P, AccumMap<P>>::new(&self.engine);
+            run_phase(&self.engine, plans, &self.state, run, &mut out)
+                .map_err(LoopFail::at(Checkpoint::Iteration, *steps))?;
+            // Fresh keys name rows that do not exist, so none is affected.
+            for (pred, acc) in out.sinks.into_iter().enumerate() {
                 let new = &self.state.new[pred];
                 let (aff, front) = (&mut affected[pred], &mut frontier[pred]);
                 acc.drain_sorted(|key, _| {
@@ -856,7 +911,27 @@ impl<P: Pops + Send + Sync> Materialization<P> {
                     }
                 });
             }
-            col.end_step(*steps, delta_rows, 0, &before);
+            run.col.end_step(*steps, delta_rows, 0, &before);
+            if frontier.iter().all(|f| f.is_empty()) {
+                break;
+            }
+            run.check(*steps, Checkpoint::Iteration)?;
+            if *steps >= self.cap {
+                return Err(LoopFail::Diverged);
+            }
+            *steps += 1;
+            let mut delta = self.engine.empty_idbs();
+            delta_rows = 0;
+            for (pred, rows) in frontier.iter_mut().enumerate() {
+                let new = &self.state.new[pred];
+                for r in rows.drain(..) {
+                    delta[pred].append_row(new.row(r), new.val(r).clone());
+                    delta_rows += 1;
+                }
+            }
+            self.state.delta = delta;
+            ensure_delta_indexes(&self.engine, &mut self.state);
+            plans = &self.delta_plans;
         }
         self.state.delta = self.engine.empty_idbs();
         ensure_delta_indexes(&self.engine, &mut self.state);
@@ -889,56 +964,6 @@ impl<P: Pops + Send + Sync> Materialization<P> {
             self.state.changed[pred].clear();
         }
     }
-
-    /// The naïve loop `J ↦ F'(J)` from the current state using the
-    /// original seed plans, to fixpoint. Starting from a pre-fixpoint
-    /// (the old state after an insert; the survivors after a delete)
-    /// it converges to the new least fixpoint.
-    fn naive_loop(&mut self, col: &mut Collector, gov: &Governor) -> Result<usize, LoopFail>
-    where
-        P: NaturallyOrdered,
-    {
-        for steps in 0..=self.cap {
-            gov.check(steps as u64, col)
-                .map_err(|a| LoopFail::Abort(a, steps))?;
-            let before = col.stats.counters;
-            let (contrib, fresh) =
-                run_plans(&self.engine, &self.seed_plans, &self.state, &self.opts, col)
-                    .map_err(|a| LoopFail::Abort(a, steps))?;
-            let mut next = self.engine.empty_idbs();
-            for (pred, acc) in contrib.into_iter().enumerate() {
-                let sv = self.engine.compiled.set_valued[pred];
-                acc.drain_sorted(|key, v| {
-                    next[pred].insert_row(key, if sv { P::one() } else { v });
-                });
-            }
-            let t_mint = Instant::now();
-            let minted_before = self.engine.interner.len();
-            for (pred, acc) in fresh.into_iter().enumerate() {
-                let sv = self.engine.compiled.set_valued[pred];
-                for (key, v) in acc {
-                    let key = mint_key(&mut self.engine.interner, &key);
-                    next[pred].insert_row(&key, if sv { P::one() } else { v });
-                }
-            }
-            col.stats.counters.minted_ids += (self.engine.interner.len() - minted_before) as u64;
-            col.stats.phases.mint += t_mint.elapsed().as_nanos() as u64;
-            let fixed = next
-                .iter()
-                .zip(&self.state.new)
-                .all(|(n, c)| n.len() == c.len() && n.iter().all(|(_, k, v)| c.get(k) == Some(v)));
-            col.end_step(steps, 0, 0, &before);
-            if fixed {
-                return Ok(steps);
-            }
-            for (pred, rel) in next.iter_mut().enumerate() {
-                ensure_probes(rel, &self.engine.idb_new_masks[pred], self.engine.join_mode);
-                rel.succeed_version(&self.state.new[pred]);
-            }
-            self.state.new = next;
-        }
-        Err(LoopFail::Diverged(self.cap))
-    }
 }
 
 impl<P> Materialization<P>
@@ -966,44 +991,27 @@ where
         strategy: Strategy,
         opts: &EngineOpts,
     ) -> Result<Self, EvalError> {
-        Self::build(program, pops_edb, bool_edb, cap, strategy, opts, None)
+        let t = Instant::now();
+        Self::prepare(program, pops_edb, bool_edb, cap, strategy, opts, None)?.built(
+            t,
+            "incremental-build",
+            Self::seminaive_fixpoint,
+        )
     }
 
-    /// [`Materialization::new`] with an optional retained interner from
-    /// a previous epoch (the rebuild path).
-    fn build(
-        program: &Program<P>,
-        pops_edb: &Database<P>,
-        bool_edb: &BoolDatabase,
-        cap: usize,
-        strategy: Strategy,
-        opts: &EngineOpts,
-        prev: Option<&InternedOutput<P>>,
-    ) -> Result<Self, EvalError> {
-        let t = Instant::now();
-        let mut m = Self::prepare(program, pops_edb, bool_edb, cap, strategy, opts, prev)?;
-        let mut col = Collector::new(
-            "incremental-build",
-            m.opts.effective_threads(),
-            t.elapsed().as_nanos() as u64,
-            m.engine.compiled.plan_metas_for(m.engine.join_mode),
-            &m.opts,
-        );
-        let gov = Governor::new(&m.opts, t.elapsed().as_nanos() as u64);
-        let t_eval = Instant::now();
-        match m.seminaive_build(&mut col, &gov) {
-            Ok(steps) => {
-                m.settle();
-                m.last_stats = col.finish(steps, true, t_eval.elapsed().as_nanos() as u64);
-                Ok(m)
-            }
-            Err(f) => Err(fail_error(
-                m.cap,
-                f,
-                col,
-                t_eval.elapsed().as_nanos() as u64,
-            )),
-        }
+    /// The initial fixpoint: the semi-naïve seed over the original
+    /// rules, then the delta loop (the variant rules read empty `@dlt`
+    /// relations and are left out).
+    fn seminaive_fixpoint(&mut self, run: &mut RunCx) -> Result<usize, LoopFail> {
+        seminaive_seed(&mut self.engine, &mut self.state, &self.seed_plans, run)?;
+        seminaive_loop(
+            &mut self.engine,
+            &mut self.state,
+            &self.delta_plans,
+            0,
+            self.cap,
+            run,
+        )
     }
 
     /// Recovers (or refreshes) the handle: re-derives the fixpoint from
@@ -1023,105 +1031,15 @@ where
     ///
     /// As [`Materialization::new`].
     pub fn rebuild(&mut self) -> Result<&EvalStats, EvalError> {
-        let epoch = self.epoch + 1;
-        let prev = InternedOutput::new(self.engine.interner.clone(), vec![], vec![]);
-        let mut fresh = Self::build(
-            &self.program,
-            &self.edb,
-            &self.bool_edb,
-            self.cap,
-            self.strategy,
-            &self.opts,
-            Some(&prev),
-        )?;
-        fresh.epoch = epoch;
-        *self = fresh;
-        Ok(&self.last_stats)
-    }
-
-    /// The initial semi-naïve fixpoint: seed `J(1) = F(0)`, then the
-    /// delta loop (mirrors the from-scratch driver over the original
-    /// rules; the variant rules see empty `@dlt` and contribute
-    /// nothing).
-    fn seminaive_build(&mut self, col: &mut Collector, gov: &Governor) -> Result<usize, LoopFail> {
-        let seed_before = col.stats.counters;
-        gov.check(0, col).map_err(|a| LoopFail::Abort(a, 0))?;
-        let (contrib, fresh) =
-            run_plans(&self.engine, &self.seed_plans, &self.state, &self.opts, col)
-                .map_err(|a| LoopFail::Abort(a, 0))?;
-        for (pred, acc) in contrib.into_iter().enumerate() {
-            let sv = self.engine.compiled.set_valued[pred];
-            let state = &mut self.state;
-            let c = &mut col.stats.counters;
-            acc.drain_sorted(|key, v| {
-                let v = if sv { P::one() } else { v };
-                let r = state.new[pred].insert_row(key, v.clone());
-                state.changed[pred].insert(r, None);
-                state.delta[pred].append_row(key, v);
-                c.rows_inserted += 1;
-            });
-        }
-        let t_mint = Instant::now();
-        let minted_before = self.engine.interner.len();
-        for (pred, acc) in fresh.into_iter().enumerate() {
-            let sv = self.engine.compiled.set_valued[pred];
-            for (key, v) in acc {
-                let v = if sv { P::one() } else { v };
-                let key = mint_key(&mut self.engine.interner, &key);
-                let r = self.state.new[pred].insert_row(&key, v.clone());
-                self.state.changed[pred].insert(r, None);
-                self.state.delta[pred].append_row(&key, v);
-                col.stats.counters.rows_inserted += 1;
-            }
-        }
-        col.stats.counters.minted_ids += (self.engine.interner.len() - minted_before) as u64;
-        col.stats.phases.mint += t_mint.elapsed().as_nanos() as u64;
-        let t_arr = Instant::now();
-        if ensure_delta_indexes(&self.engine, &mut self.state) {
-            col.arrange_phase(t_arr.elapsed().as_nanos() as u64);
-        }
-        drain_arrange_merges(&mut self.state, col);
-        col.end_step(0, 0, 0, &seed_before);
-        self.delta_loop(col, gov, 0)
-    }
-
-    /// The semi-naïve continuation: run the original delta plans and
-    /// advance until every delta drains. Returns the final step count.
-    fn delta_loop(
-        &mut self,
-        col: &mut Collector,
-        gov: &Governor,
-        start: usize,
-    ) -> Result<usize, LoopFail> {
-        let mut steps = start;
-        while !self.state.delta.iter().all(|d| d.is_empty()) {
-            gov.check(steps as u64, col)
-                .map_err(|a| LoopFail::Abort(a, steps))?;
-            if steps >= self.cap {
-                return Err(LoopFail::Diverged(steps));
-            }
-            steps += 1;
-            let before = col.stats.counters;
-            let delta_rows: u64 = self.state.delta.iter().map(|d| d.len() as u64).sum();
-            let (contrib, fresh) = run_plans(
-                &self.engine,
-                &self.delta_plans,
-                &self.state,
-                &self.opts,
-                col,
-            )
-            .map_err(|a| LoopFail::Abort(a, steps))?;
-            apply_contrib(&mut self.engine, &mut self.state, contrib, fresh, col);
-            col.end_step(steps, delta_rows, 0, &before);
-        }
-        Ok(steps)
+        self.rebuilt("incremental-build", Self::seminaive_fixpoint)
     }
 
     /// Absorbs an insert batch: `⊕`-merges the facts into the EDB and
     /// advances the fixpoint by the telescoped differential — the
     /// variant plans compute `F'(J) ⊖ F(J)` driven by the batch, the
-    /// standard advance folds it in, and the delta loop continues from
-    /// the old fixpoint (a pre-fixpoint of the grown operator).
+    /// standard advance folds it in as step 0, and the delta loop
+    /// continues from the old fixpoint (a pre-fixpoint of the grown
+    /// operator).
     ///
     /// Returns the edit's own [`EvalStats`].
     ///
@@ -1134,50 +1052,24 @@ where
     /// on budget/deadline/cancellation — these **poison** the handle
     /// (see the module docs).
     pub fn insert(&mut self, batch: &[FactInsert<P>]) -> Result<&EvalStats, EvalError> {
-        self.check_poisoned()?;
-        self.validate_edits(batch.iter().map(|f| (f.pred.as_str(), f.tuple.len())))?;
-        let t = Instant::now();
-        self.begin_edit();
+        let t = self.begin_edit(batch.iter().map(|f| (f.pred.as_str(), f.tuple.len())))?;
         let touched = self.stage_insert(batch);
-        let mut col = Collector::new(
-            "incremental-insert",
-            self.opts.effective_threads(),
-            t.elapsed().as_nanos() as u64,
-            self.engine.compiled.plan_metas_for(self.engine.join_mode),
-            &self.opts,
-        );
-        let gov = Governor::new(&self.opts, t.elapsed().as_nanos() as u64);
-        let t_eval = Instant::now();
-        let run = self.insert_run(&mut col, &gov, batch.len() as u64);
-        let eval_ns = t_eval.elapsed().as_nanos() as u64;
-        match run {
-            Ok(steps) => {
-                self.clear_edit_rels(&touched);
-                self.settle();
-                self.last_stats = col.finish(steps, true, eval_ns);
-                Ok(&self.last_stats)
-            }
-            Err(f) => Err(self.poison(fail_error(self.cap, f, col, eval_ns))),
-        }
-    }
-
-    /// The governed tail of [`Materialization::insert`]: the
-    /// differential seed plus the semi-naïve continuation, factored out
-    /// so the public wrapper can poison any failure with one match.
-    fn insert_run(
-        &mut self,
-        col: &mut Collector,
-        gov: &Governor,
-        batch_rows: u64,
-    ) -> Result<usize, LoopFail> {
-        let before = col.stats.counters;
-        gov.check(0, col).map_err(|a| LoopFail::Abort(a, 0))?;
-        let (contrib, fresh) =
-            run_plans(&self.engine, &self.edit_plans, &self.state, &self.opts, col)
-                .map_err(|a| LoopFail::Abort(a, 0))?;
-        apply_contrib(&mut self.engine, &mut self.state, contrib, fresh, col);
-        col.end_step(0, batch_rows, 0, &before);
-        self.delta_loop(col, gov, 0)
+        self.edit("incremental-insert", t, |m, run| {
+            let (engine, state) = (&mut m.engine, &mut m.state);
+            let rows = batch.len() as u64;
+            seminaive_step(
+                engine,
+                state,
+                &m.edit_plans,
+                0,
+                rows,
+                Checkpoint::Phase,
+                run,
+            )?;
+            let steps = seminaive_loop(engine, state, &m.delta_plans, 0, m.cap, run)?;
+            m.clear_edit_rels(&touched);
+            Ok(steps)
+        })
     }
 
     /// Absorbs a delete batch by delete–rederive (module docs): mark
@@ -1192,69 +1084,34 @@ where
     ///
     /// As [`Materialization::insert`].
     pub fn delete(&mut self, batch: &[FactDelete]) -> Result<&EvalStats, EvalError> {
-        self.check_poisoned()?;
-        self.validate_edits(batch.iter().map(|f| (f.pred.as_str(), f.tuple.len())))?;
-        let t = Instant::now();
-        self.begin_edit();
+        let t = self.begin_edit(batch.iter().map(|f| (f.pred.as_str(), f.tuple.len())))?;
         let staged = self.stage_delete(batch);
-        let mut col = Collector::new(
-            "incremental-delete",
-            self.opts.effective_threads(),
-            t.elapsed().as_nanos() as u64,
-            self.engine.compiled.plan_metas_for(self.engine.join_mode),
-            &self.opts,
-        );
-        let gov = Governor::new(&self.opts, t.elapsed().as_nanos() as u64);
-        let t_eval = Instant::now();
-        if staged.is_empty() {
-            self.last_stats = col.finish(0, true, t_eval.elapsed().as_nanos() as u64);
-            return Ok(&self.last_stats);
-        }
-        let run = self.delete_run(&mut col, &gov, &staged);
-        let eval_ns = t_eval.elapsed().as_nanos() as u64;
-        match run {
-            Ok(steps) => {
-                self.settle();
-                self.last_stats = col.finish(steps, true, eval_ns);
-                Ok(&self.last_stats)
+        self.edit("incremental-delete", t, |m, run| {
+            if staged.is_empty() {
+                return Ok(0);
             }
-            Err(f) => Err(self.poison(fail_error(self.cap, f, col, eval_ns))),
-        }
-    }
-
-    /// The governed tail of [`Materialization::delete`]: marking,
-    /// zero-out, rederive, continuation.
-    fn delete_run(
-        &mut self,
-        col: &mut Collector,
-        gov: &Governor,
-        staged: &[(usize, HashSet<Box<[u32]>>)],
-    ) -> Result<usize, LoopFail> {
-        let touched: Vec<usize> = staged.iter().map(|(si, _)| *si).collect();
-        let mut steps = 0usize;
-        let affected = self.affected_closure(col, gov, &mut steps)?;
-        self.clear_edit_rels(&touched);
-        self.apply_edb_deletes(staged);
-        self.retract_affected(&affected);
-        let has_affected: Vec<bool> = affected.iter().map(|a| !a.is_empty()).collect();
-        if has_affected.iter().any(|&b| b) {
-            let rederive: Vec<Plan<P>> = self
+            let (steps, has_affected) = m.zero_out(run, &staged)?;
+            if !has_affected.contains(&true) {
+                return Ok(steps);
+            }
+            let rederive: Vec<Plan<P>> = m
                 .seed_plans
                 .iter()
                 .filter(|p| has_affected[p.head_pred])
                 .cloned()
                 .collect();
-            gov.check(steps as u64, col)
-                .map_err(|a| LoopFail::Abort(a, steps))?;
-            steps += 1;
-            let before = col.stats.counters;
-            let (contrib, fresh) = run_plans(&self.engine, &rederive, &self.state, &self.opts, col)
-                .map_err(|a| LoopFail::Abort(a, steps))?;
-            apply_contrib(&mut self.engine, &mut self.state, contrib, fresh, col);
-            col.end_step(steps, 0, 0, &before);
-            steps = self.delta_loop(col, gov, steps)?;
-        }
-        Ok(steps)
+            let (engine, state) = (&mut m.engine, &mut m.state);
+            seminaive_step(
+                engine,
+                state,
+                &rederive,
+                steps + 1,
+                0,
+                Checkpoint::Phase,
+                run,
+            )?;
+            seminaive_loop(engine, state, &m.delta_plans, steps + 1, m.cap, run)
+        })
     }
 
     /// Applies an edit script in order, one batch per edit, stopping at
@@ -1300,42 +1157,23 @@ where
         cap: usize,
         opts: &EngineOpts,
     ) -> Result<Self, EvalError> {
-        Self::build_naive(program, pops_edb, bool_edb, cap, opts, None)
+        let t = Instant::now();
+        Self::prepare(program, pops_edb, bool_edb, cap, Strategy::Auto, opts, None)?.built(
+            t,
+            "incremental-build-naive",
+            Self::naive_fixpoint,
+        )
     }
 
-    /// [`Materialization::new_naive`] with an optional retained
-    /// interner from a previous epoch (the rebuild path).
-    fn build_naive(
-        program: &Program<P>,
-        pops_edb: &Database<P>,
-        bool_edb: &BoolDatabase,
-        cap: usize,
-        opts: &EngineOpts,
-        prev: Option<&InternedOutput<P>>,
-    ) -> Result<Self, EvalError> {
-        let t = Instant::now();
-        let mut m = Self::prepare(program, pops_edb, bool_edb, cap, Strategy::Auto, opts, prev)?;
-        let mut col = Collector::new(
-            "incremental-build-naive",
-            m.opts.effective_threads(),
-            t.elapsed().as_nanos() as u64,
-            m.engine.compiled.plan_metas_for(m.engine.join_mode),
-            &m.opts,
-        );
-        let gov = Governor::new(&m.opts, t.elapsed().as_nanos() as u64);
-        let t_eval = Instant::now();
-        match m.naive_loop(&mut col, &gov) {
-            Ok(steps) => {
-                m.last_stats = col.finish(steps, true, t_eval.elapsed().as_nanos() as u64);
-                Ok(m)
-            }
-            Err(f) => Err(fail_error(
-                m.cap,
-                f,
-                col,
-                t_eval.elapsed().as_nanos() as u64,
-            )),
-        }
+    /// The initial fixpoint by the naïve loop over the original rules.
+    fn naive_fixpoint(&mut self, run: &mut RunCx) -> Result<usize, LoopFail> {
+        naive_loop(
+            &mut self.engine,
+            &mut self.state,
+            &self.seed_plans,
+            self.cap,
+            run,
+        )
     }
 
     /// [`Materialization::rebuild`] for naïve-mode handles: re-derives
@@ -1347,20 +1185,7 @@ where
     ///
     /// As [`Materialization::new`].
     pub fn rebuild_naive(&mut self) -> Result<&EvalStats, EvalError> {
-        let epoch = self.epoch + 1;
-        let prev = InternedOutput::new(self.engine.interner.clone(), vec![], vec![]);
-        let mut fresh = Self::build_naive(
-            &self.program,
-            &self.edb,
-            &self.bool_edb,
-            self.cap,
-            &self.opts,
-            Some(&prev),
-        )?;
-        fresh.epoch = epoch;
-        fresh.strategy = self.strategy;
-        *self = fresh;
-        Ok(&self.last_stats)
+        self.rebuilt("incremental-build-naive", Self::naive_fixpoint)
     }
 
     /// Naïve-mode insert: `⊕`-merge the batch into the EDB, then run
@@ -1373,31 +1198,13 @@ where
     ///
     /// As [`Materialization::insert`].
     pub fn insert_naive(&mut self, batch: &[FactInsert<P>]) -> Result<&EvalStats, EvalError> {
-        self.check_poisoned()?;
-        self.validate_edits(batch.iter().map(|f| (f.pred.as_str(), f.tuple.len())))?;
-        let t = Instant::now();
-        self.begin_edit();
+        let t = self.begin_edit(batch.iter().map(|f| (f.pred.as_str(), f.tuple.len())))?;
         let touched = self.stage_insert(batch);
         // The naïve loop never reads the edit relations; drop them now.
         self.clear_edit_rels(&touched);
-        let mut col = Collector::new(
-            "incremental-insert-naive",
-            self.opts.effective_threads(),
-            t.elapsed().as_nanos() as u64,
-            self.engine.compiled.plan_metas_for(self.engine.join_mode),
-            &self.opts,
-        );
-        let gov = Governor::new(&self.opts, t.elapsed().as_nanos() as u64);
-        let t_eval = Instant::now();
-        let run = self.naive_loop(&mut col, &gov);
-        let eval_ns = t_eval.elapsed().as_nanos() as u64;
-        match run {
-            Ok(steps) => {
-                self.last_stats = col.finish(steps, true, eval_ns);
-                Ok(&self.last_stats)
-            }
-            Err(f) => Err(self.poison(fail_error(self.cap, f, col, eval_ns))),
-        }
+        self.edit("incremental-insert-naive", t, |m, run| {
+            naive_loop(&mut m.engine, &mut m.state, &m.seed_plans, m.cap, run)
+        })
     }
 
     /// Naïve-mode delete: the same DRed marking and zero-out as
@@ -1409,41 +1216,15 @@ where
     ///
     /// As [`Materialization::insert`].
     pub fn delete_naive(&mut self, batch: &[FactDelete]) -> Result<&EvalStats, EvalError> {
-        self.check_poisoned()?;
-        self.validate_edits(batch.iter().map(|f| (f.pred.as_str(), f.tuple.len())))?;
-        let t = Instant::now();
-        self.begin_edit();
+        let t = self.begin_edit(batch.iter().map(|f| (f.pred.as_str(), f.tuple.len())))?;
         let staged = self.stage_delete(batch);
-        let mut col = Collector::new(
-            "incremental-delete-naive",
-            self.opts.effective_threads(),
-            t.elapsed().as_nanos() as u64,
-            self.engine.compiled.plan_metas_for(self.engine.join_mode),
-            &self.opts,
-        );
-        let gov = Governor::new(&self.opts, t.elapsed().as_nanos() as u64);
-        let t_eval = Instant::now();
-        if staged.is_empty() {
-            self.last_stats = col.finish(0, true, t_eval.elapsed().as_nanos() as u64);
-            return Ok(&self.last_stats);
-        }
-        let run = (|| {
-            let touched: Vec<usize> = staged.iter().map(|(si, _)| *si).collect();
-            let mut steps = 0usize;
-            let affected = self.affected_closure(&mut col, &gov, &mut steps)?;
-            self.clear_edit_rels(&touched);
-            self.apply_edb_deletes(&staged);
-            self.retract_affected(&affected);
-            Ok(steps + self.naive_loop(&mut col, &gov)?)
-        })();
-        let eval_ns = t_eval.elapsed().as_nanos() as u64;
-        match run {
-            Ok(steps) => {
-                self.last_stats = col.finish(steps, true, eval_ns);
-                Ok(&self.last_stats)
+        self.edit("incremental-delete-naive", t, |m, run| {
+            if staged.is_empty() {
+                return Ok(0);
             }
-            Err(f) => Err(self.poison(fail_error(self.cap, f, col, eval_ns))),
-        }
+            let (steps, _) = m.zero_out(run, &staged)?;
+            Ok(steps + naive_loop(&mut m.engine, &mut m.state, &m.seed_plans, m.cap, run)?)
+        })
     }
 }
 

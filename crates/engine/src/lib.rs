@@ -19,10 +19,13 @@
 //!   column operation (probe / bind / check) at compile time;
 //! * [`exec`] — the join executor, including the `changed`-map trick
 //!   that serves `J(t)` and `J(t-1)` from one physical relation;
-//! * [`driver`] — naïve and **parallel semi-naïve** loops (prefix-new /
-//!   Δ / suffix-old per Theorem 6.5), fanning (plan × row-chunk) tasks
-//!   over scoped threads and `⊕`-merging deterministically, with
-//!   packed-`u64` head accumulators for arities ≤ 2;
+//! * [`driver`] — the **evaluation kernel** every strategy and every
+//!   [`Materialization`] path runs on (one run prologue, one phase
+//!   runner fanning (plan × row-chunk) tasks over scoped threads and
+//!   merging deterministically, one naïve and one semi-naïve loop), and
+//!   the naïve and **parallel semi-naïve** drivers (prefix-new / Δ /
+//!   suffix-old per Theorem 6.5) with packed-`u64` head accumulators
+//!   for arities ≤ 2;
 //! * [`worklist`] — the **frontier drivers**: FIFO generation worklist
 //!   and bucketed best-first priority scheduling, per-row change
 //!   propagation instead of global iterations, each frontier batch
@@ -202,14 +205,15 @@
 //!
 //! ## Parallelism: every strategy, one worker pool
 //!
-//! All three loops fan work over the scoped-thread pool in [`par`],
-//! capped by `DLO_ENGINE_THREADS` (set `1` to force sequential
-//! execution; the default is `std::thread::available_parallelism`) or
-//! per call via [`EngineOpts::threads`]. The semi-naïve loop
+//! Every loop fans work through the kernel's one phase runner over the
+//! scoped-thread pool in [`par`], capped by `DLO_ENGINE_THREADS` (set
+//! `1` to force sequential execution; the default is
+//! `std::thread::available_parallelism`) or per call via
+//! [`EngineOpts::threads`]. The semi-naïve loop
 //! parallelizes each global iteration; the frontier drivers parallelize
 //! each **batch** (a FIFO generation or a priority value bucket),
-//! splitting (settled-row × worklist-plan) work into chunked tasks, and
-//! fall back to the sequential inner loop when a batch's estimated
+//! splitting (settled-row × worklist-plan) work into chunked tasks.
+//! Every phase runs inline on one thread, or when its estimated
 //! first-step work is below [`EngineOpts::par_threshold`] — sparse
 //! frontiers never pay a spawn. EDB index builds also fan out, one
 //! relation per task. In every case results are **bit-identical at any

@@ -44,7 +44,12 @@ pub enum JoinMode {
     /// Force sorted arrangements for every non-trivial probe mask.
     Merge,
     /// Force hash-prefix indexes everywhere (the pre-arrangement
-    /// engine).
+    /// engine). Only this mode builds a hash index over a probe key
+    /// wider than two columns (a boxed-key index): `Auto` probes arity
+    /// ≤ 2 through packed hash keys and arity > 2 through arrangements.
+    /// The boxed-key index is kept on purpose, as the differential
+    /// oracle that `join_modes_bit_identical_across_threads` and the
+    /// engine proptests compare merge joins against.
     Hash,
 }
 
@@ -504,7 +509,9 @@ impl<P: Pops> ColumnRel<P> {
     }
 
     /// Builds the index for `mask` if missing (subsequently maintained by
-    /// [`Self::insert_row`]). `mask = 0` (full scan) needs no index.
+    /// [`Self::insert_row`]). `mask = 0` (full scan) needs no index. A
+    /// mask wider than two columns gets a boxed-key index, which only
+    /// [`JoinMode::Hash`] requests — it is the merge joins' test oracle.
     pub fn ensure_index(&mut self, mask: ColMask) {
         if mask == 0 || self.indexes.contains_key(&mask) {
             return;

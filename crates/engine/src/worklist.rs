@@ -34,25 +34,24 @@
 //!   improved after being pushed) are skipped lazily by comparing the
 //!   bucket value against the row's current value.
 //!
-//! ## Parallel batches
+//! ## On the kernel
 //!
-//! A frontier batch is an embarrassingly parallel unit: every row in it
-//! is already merged into `new` (the priority discipline even guarantees
-//! it is *settled*), the interner is frozen while plans run, and the
-//! per-occurrence plans only read state. So each batch's
-//! (settled-row × worklist-plan) work is partitioned into tasks — one
-//! per plan, with large Δ scans split into first-step row chunks exactly
-//! like [`crate::driver`]'s global loop — and fanned over the scoped
-//! worker pool of [`crate::par`]. Each task buffers its emissions in an
-//! ordered `EmitBuf`; the merge walks tasks **in task order** and
-//! appends, so the staged emission sequence is byte-for-byte the one the
-//! sequential inner loop produces and results are bit-identical at any
-//! `DLO_ENGINE_THREADS` (every stock absorptive dioid's `⊕` is exact, so
-//! association is immaterial; the task-order merge additionally pins the
-//! fold order per key). Batches whose estimated first-step work falls
-//! below [`crate::driver::EngineOpts::par_threshold`] run the sequential
-//! inner loop directly — sparse frontiers (the gradient workload pops
-//! 1–2 rows per batch) never pay a spawn.
+//! A frontier run is a kernel run ([`crate::driver`]): the shared run
+//! prologue (with the worklist plans' index requirements), the shared
+//! phase runner, and the shared failure conversion. What is its own is
+//! the queue and the fold. Each phase's emissions land in ordered
+//! per-IDB buffers — the phase runner's append sink — and are
+//! `⊕`-merged into `new` after the phase, each strict improvement
+//! pushed onto the queue. A frontier batch is an embarrassingly
+//! parallel unit (every row in it is already merged into `new`, the
+//! interner is frozen while plans run, and the plans only read state),
+//! so dense batches fan out over the worker pool; task-local buffers
+//! are concatenated in task order, reproducing the sequential emission
+//! sequence byte for byte, so results are bit-identical at any
+//! `DLO_ENGINE_THREADS`. Batches whose estimated first-step work falls
+//! below [`crate::driver::EngineOpts::par_threshold`] run inline —
+//! sparse frontiers (the gradient workload pops 1–2 rows per batch)
+//! never pay a spawn.
 //!
 //! Both disciplines fire the per-occurrence plans of
 //! [`crate::plan::CompiledProgram::worklist_plans`]: the changed row is
@@ -61,13 +60,9 @@
 //! and every other occurrence reads the live `new` state. On idempotent
 //! `⊕` the occasional re-derivation merges to the same value, so the
 //! scheme is sound without the prefix-new/suffix-old split of
-//! Theorem 6.5.
-//!
-//! Head key functions work exactly as in the global drivers: the
-//! interner is frozen while plans run, fresh integer cells accumulate in
-//! ordered buffers, and ids are minted between batches
-//! (`driver::mint_key`); minted rows enter `new` as appends and
-//! are pushed like any other improvement.
+//! Theorem 6.5. Head key functions mint between batches, as in every
+//! kernel loop; minted rows enter `new` as appends and are pushed like
+//! any other improvement.
 //!
 //! `steps` in the returned outcome counts processed frontier batches —
 //! FIFO generations for the worklist driver, value buckets for the
@@ -76,16 +71,13 @@
 //! comparable across strategies; fixpoints are.
 
 use crate::driver::{
-    abort_with_partial, chunk_tasks, empty_aborted, ensure_probes, finish, merge_fresh, mint_key,
-    seminaive_run, setup_checked, setup_interned_checked, Engine, EngineOpts,
+    drain_arrange_merges, drive, empty_aborted, fold_phase, run_phase, seminaive_run,
+    setup_checked, setup_interned_checked, Engine, EngineOpts, IdbState, LoopFail, PhaseOut, RunCx,
+    Sink,
 };
-use crate::exec::{run_plan, EvalCtx, ExecCounters, HeadVal};
-use crate::govern::{Abort, Checkpoint, Governor};
-use crate::hash::FxHashMap;
-use crate::intern::Interner;
+use crate::govern::Checkpoint;
 use crate::output::{AbortedEval, InternedOutcome, InternedOutput, SettledMark};
-use crate::par;
-use crate::plan::{Plan, Source};
+use crate::plan::Plan;
 use crate::storage::ColumnRel;
 use crate::telemetry::Collector;
 use dlo_core::ast::Program;
@@ -95,7 +87,7 @@ use dlo_pops::{
     Absorptive, CompleteDistributiveDioid, NaturallyOrdered, Pops, TotallyOrderedDioid,
 };
 use std::collections::{BTreeMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Which evaluation loop [`engine_eval`] runs.
@@ -240,17 +232,16 @@ impl<P: TotallyOrderedDioid> Frontier<P> for BucketFrontier<P> {
 }
 
 /// Per-IDB emission buffer: flat keys (arity stride) plus values, so one
-/// batch's emissions append without per-derivation allocation. Plans run
-/// against an immutable borrow of the state, so emissions are buffered
-/// here and `⊕`-merged into `new` after the batch's plans finish.
+/// batch's emissions append without per-derivation allocation, and a
+/// drain hands the capacity back for the next batch.
 struct EmitBuf<P> {
     arity: usize,
     keys: Vec<u32>,
     vals: Vec<P>,
 }
 
-impl<P> EmitBuf<P> {
-    fn new(arity: usize) -> Self {
+impl<P: Send> Sink<P> for EmitBuf<P> {
+    fn for_arity(arity: usize) -> Self {
         EmitBuf {
             arity,
             keys: Vec::new(),
@@ -258,225 +249,77 @@ impl<P> EmitBuf<P> {
         }
     }
 
-    fn push(&mut self, key: &[u32], v: P) {
+    #[inline]
+    fn emit(&mut self, key: &[u32], v: P) {
         self.keys.extend_from_slice(key);
         self.vals.push(v);
     }
 
-    /// Appends another buffer's emissions (the parallel merge step:
-    /// task-local buffers are concatenated in task order, reproducing
-    /// the sequential emission sequence exactly).
-    fn append(&mut self, mut other: EmitBuf<P>) {
+    /// Appends a task-local buffer: concatenating in task order
+    /// reproduces the sequential emission sequence exactly.
+    fn absorb(&mut self, mut other: Self) {
         debug_assert_eq!(self.arity, other.arity, "buffers keyed per predicate");
         self.keys.extend_from_slice(&other.keys);
         self.vals.append(&mut other.vals);
     }
+
+    /// Drains in emission order.
+    fn drain(&mut self, mut f: impl FnMut(&[u32], P)) {
+        let arity = self.arity;
+        for (i, v) in self.vals.drain(..).enumerate() {
+            f(&self.keys[i * arity..(i + 1) * arity], v);
+        }
+        self.keys.clear();
+    }
 }
 
-/// Merges every buffered emission into `new`, minting interner ids for
-/// fresh head keys, and pushes each strictly improved row. Set-valued
-/// (magic) predicates take the demand path instead: a new binding is
-/// inserted at `1` and pushed once; an existing one is left untouched —
-/// demand rows are settled the moment they exist, on any POPS.
+/// Merges every buffered emission, then every freshly minted head key,
+/// into `new`, and pushes each strictly improved row. Set-valued (magic)
+/// predicates take the demand path instead: a new binding is inserted
+/// at `1` and pushed once; an existing one is left untouched — demand
+/// rows are settled the moment they exist, on any POPS.
 ///
 /// `settled` is the run's settled-row marking: an improvement to an
 /// *existing* row defensively unmarks it (under the priority
 /// discipline a popped row can never improve — Cor. 5.19 — so the
 /// unmark never fires there; it keeps the marking sound by
 /// construction rather than by theorem).
-#[allow(clippy::too_many_arguments)]
-fn apply_emissions<P: Pops, F: Frontier<P>>(
-    interner: &mut Interner,
-    new: &mut [ColumnRel<P>],
-    set_valued: &[bool],
-    bufs: &mut [EmitBuf<P>],
-    fresh: &mut [BTreeMap<Box<[HeadVal]>, P>],
+fn apply_emissions<P: Pops + Send, F: Frontier<P>>(
+    engine: &mut Engine<P>,
+    state: &mut IdbState<P>,
+    out: &mut PhaseOut<P, EmitBuf<P>>,
     frontier: &mut F,
     settled: &mut SettledMark,
     col: &mut Collector,
 ) {
-    for (pred, buf) in bufs.iter_mut().enumerate() {
-        let arity = buf.arity;
-        let sv = set_valued[pred];
-        let mut vals = std::mem::take(&mut buf.vals);
-        let c = &mut col.stats.counters;
-        for (i, v) in vals.drain(..).enumerate() {
-            let key = &buf.keys[i * arity..(i + 1) * arity];
-            if sv {
-                if new[pred].rowid(key).is_none() {
-                    let row = new[pred].insert_row(key, P::one());
-                    frontier.push(pred, row, new[pred].val(row));
-                    c.rows_inserted += 1;
-                } else {
-                    c.set_valued_shortcircuits += 1;
-                }
-                continue;
-            }
-            let len_before = new[pred].len();
-            let (row, changed) = new[pred].merge_changed(key, v);
-            if changed {
-                frontier.push(pred, row, new[pred].val(row));
-                if new[pred].len() > len_before {
-                    c.rows_inserted += 1;
-                } else {
-                    c.rows_improved += 1;
-                    settled.unmark(pred, row);
-                }
+    let new = &mut state.new;
+    fold_phase(engine, out, col, |c, pred, sv, key, v| {
+        let rel = &mut new[pred];
+        if sv {
+            if rel.rowid(key).is_none() {
+                let row = rel.insert_row(key, P::one());
+                frontier.push(pred, row, rel.val(row));
+                c.rows_inserted += 1;
             } else {
-                c.merges_absorbed += 1;
+                c.set_valued_shortcircuits += 1;
             }
+            return;
         }
-        buf.vals = vals; // hand the capacity back for the next batch
-        buf.keys.clear();
-    }
-    let t_mint = Instant::now();
-    let minted_before = interner.len();
-    for (pred, facc) in fresh.iter_mut().enumerate() {
-        let sv = set_valued[pred];
-        let c = &mut col.stats.counters;
-        while let Some((key, v)) = facc.pop_first() {
-            let key = mint_key(interner, &key);
-            if sv {
-                if new[pred].rowid(&key).is_none() {
-                    let row = new[pred].insert_row(&key, P::one());
-                    frontier.push(pred, row, new[pred].val(row));
-                    c.rows_inserted += 1;
-                } else {
-                    c.set_valued_shortcircuits += 1;
-                }
-                continue;
-            }
-            let len_before = new[pred].len();
-            let (row, changed) = new[pred].merge_changed(&key, v);
-            if changed {
-                frontier.push(pred, row, new[pred].val(row));
-                if new[pred].len() > len_before {
-                    c.rows_inserted += 1;
-                } else {
-                    c.rows_improved += 1;
-                    settled.unmark(pred, row);
-                }
-            } else {
-                c.merges_absorbed += 1;
-            }
+        let len_before = rel.len();
+        let (row, changed) = rel.merge_changed(key, v);
+        if !changed {
+            c.merges_absorbed += 1;
+            return;
         }
-    }
-    col.stats.counters.minted_ids += (interner.len() - minted_before) as u64;
-    col.stats.phases.mint += t_mint.elapsed().as_nanos() as u64;
-}
-
-/// Runs a batch's plans (in the given order) against the frontier state,
-/// staging emissions into `bufs`/`fresh` in (task-index, emit-order).
-///
-/// Below `opts.par_threshold` estimated first-step rows the plans run
-/// inline; above it, (plan × row-chunk) tasks fan out over
-/// [`par::run_indexed`] and task-local buffers are concatenated in task
-/// order — chunks partition a plan's first-step candidates in row order,
-/// so the concatenation is exactly the sequential emission sequence and
-/// the staged state is independent of the thread count.
-#[allow(clippy::too_many_arguments)]
-fn run_frontier_plans<P>(
-    engine: &Engine<P>,
-    plans: &[&Plan<P>],
-    new: &[ColumnRel<P>],
-    changed: &[FxHashMap<u32, Option<P>>],
-    delta: &[ColumnRel<P>],
-    bufs: &mut [EmitBuf<P>],
-    fresh: &mut [BTreeMap<Box<[HeadVal]>, P>],
-    opts: &EngineOpts,
-    col: &mut Collector,
-) -> Result<(), Abort>
-where
-    P: Pops + Send + Sync,
-{
-    let ctx = EvalCtx {
-        interner: &engine.interner,
-        adom: &engine.adom,
-        pops_edb: &engine.pops_edb,
-        bool_edb: &engine.bool_edb,
-        idb_new: new,
-        idb_changed: changed,
-        idb_delta: delta,
-    };
-    let threads = opts.effective_threads();
-    // Single-threaded runs skip even the estimate pass: the frontier
-    // fires thousands of (often tiny) batches per run, so per-batch
-    // bookkeeping must cost nothing when fan-out is off the table.
-    let run_sequential = |bufs: &mut [EmitBuf<P>],
-                          fresh: &mut [BTreeMap<Box<[HeadVal]>, P>],
-                          col: &mut Collector|
-     -> Result<(), Abort> {
-        for plan in plans {
-            let buf = &mut bufs[plan.head_pred];
-            let facc = &mut fresh[plan.head_pred];
-            let mut counters = ExecCounters::default();
-            let t = Instant::now();
-            catch_unwind(AssertUnwindSafe(|| {
-                run_plan(
-                    plan,
-                    &ctx,
-                    None,
-                    &mut counters,
-                    &mut |key, v| buf.push(key, v),
-                    &mut |key, v| merge_fresh(facc, key, v),
-                );
-            }))
-            .map_err(|p| Abort::WorkerPanic {
-                message: par::payload_message(p),
-            })?;
-            col.add_plan(plan.pid, counters, t.elapsed().as_nanos() as u64);
+        frontier.push(pred, row, rel.val(row));
+        if rel.len() > len_before {
+            c.rows_inserted += 1;
+        } else {
+            c.rows_improved += 1;
+            settled.unmark(pred, row);
         }
-        Ok(())
-    };
-    if threads <= 1 {
-        return run_sequential(bufs, fresh, col);
-    }
-
-    // First-step work estimates (for a worklist plan, step 0 is the
-    // forced-first Δ occurrence; seed plans scan EDBs) and the task
-    // list, both via the driver's shared fan-out heuristic.
-    let estimates: Vec<(usize, bool)> = plans
-        .iter()
-        .map(|plan| engine.step0_estimate(plan, new, delta))
-        .collect();
-    let total: usize = estimates.iter().map(|(e, _)| e).sum();
-    if total < opts.par_threshold {
-        return run_sequential(bufs, fresh, col);
-    }
-
-    let tasks = chunk_tasks(&estimates, threads, opts.chunk_min);
-    let results = par::run_indexed(tasks.len(), threads, |ti| {
-        let (pi, range) = tasks[ti];
-        let plan = plans[pi];
-        let mut buf = EmitBuf::new(engine.compiled.idbs[plan.head_pred].1);
-        let mut local_fresh: BTreeMap<Box<[HeadVal]>, P> = BTreeMap::new();
-        let mut counters = ExecCounters::default();
-        let t = Instant::now();
-        run_plan(
-            plan,
-            &ctx,
-            range,
-            &mut counters,
-            &mut |key, v| buf.push(key, v),
-            &mut |key, v| merge_fresh(&mut local_fresh, key, v),
-        );
-        let nanos = t.elapsed().as_nanos() as u64;
-        (plan.pid, plan.head_pred, buf, local_fresh, counters, nanos)
-    })
-    .map_err(|message| Abort::WorkerPanic { message })?;
-    col.parallel_batch(tasks.len());
-    // Deterministic merge: `run_indexed` returns results in task order,
-    // and appends reproduce the sequential emission sequence (counter
-    // sums are additive over a plan's chunks, so they are too).
-    for (pid, pred, local, local_fresh, counters, nanos) in results {
-        col.add_plan(pid, counters, nanos);
-        bufs[pred].append(local);
-        let facc = &mut fresh[pred];
-        for (key, v) in local_fresh {
-            merge_fresh(facc, &key, v);
-        }
-    }
-    Ok(())
+    });
+    drain_arrange_merges(state, col);
 }
 
 /// The shared frontier loop over a prepared [`Engine`]: seed with
@@ -492,7 +335,7 @@ where
 /// head-key minting: a popped row fires the worklist plans whose Δ
 /// occurrence it is, demand rows and answer rows alike.
 fn run_frontier<P, F>(
-    mut engine: Engine<P>,
+    engine: Engine<P>,
     cap: usize,
     opts: &EngineOpts,
     strategy: &str,
@@ -503,291 +346,110 @@ where
     P: Pops + Send + Sync,
     F: Frontier<P>,
 {
-    let threads = opts.effective_threads();
-    let mode = opts.effective_join_mode();
-    engine.join_mode = mode;
-    let mut col = Collector::new(
-        strategy,
-        threads,
-        setup_ns,
-        engine.compiled.plan_metas_for(mode),
+    drive(
+        engine,
         opts,
-    );
-    let nidb = engine.compiled.idbs.len();
-    let mut frontier = make_frontier(nidb);
-    // Settled-row tracking for graceful degradation: under the priority
-    // discipline every popped row is settled (Cor. 5.19 — `⊗` cannot
-    // move a best value back up), so marking rows on pop yields an
-    // abort-time partial that is *exact* on the marked frontier. FIFO
-    // generations give no such guarantee; their partial stays a
-    // best-effort lower bound with nothing marked.
-    let exact = strategy == "priority";
-    let mut settled = if exact {
-        SettledMark::exact_empty(nidb)
-    } else {
-        SettledMark::best_effort(nidb)
-    };
+        strategy,
+        setup_ns,
+        true,
+        cap,
+        |engine, state, settled, run| {
+            let frontier = make_frontier(state.new.len());
+            frontier_loop(engine, state, settled, run, cap, frontier)
+        },
+    )
+}
+
+/// The body of [`run_frontier`]: the seed phase, then one batch per
+/// step until the queue drains. Returns the batch count.
+fn frontier_loop<P, F>(
+    engine: &mut Engine<P>,
+    state: &mut IdbState<P>,
+    settled: &mut SettledMark,
+    run: &mut RunCx,
+    cap: usize,
+    mut frontier: F,
+) -> Result<usize, LoopFail>
+where
+    P: Pops + Send + Sync,
+    F: Frontier<P>,
+{
+    let compiled = Arc::clone(&engine.compiled);
+    // Settled-on-pop: under the priority discipline every popped row
+    // is settled (Cor. 5.19 — `⊗` cannot move a best value back
+    // up), so an abort-time partial is *exact* on the marked rows.
+    // FIFO generations give no such guarantee and mark nothing.
+    let exact = settled.is_exact();
     let loop_checkpoint = if exact {
         Checkpoint::Bucket
     } else {
         Checkpoint::Generation
     };
+    let mut out = PhaseOut::<P, EmitBuf<P>>::new(engine);
 
-    // Index plumbing: the global drivers' `new` masks plus whatever the
-    // worklist plans probe. EDB builds (including the seed/delta-plan
-    // requirements collected at setup) fan out per relation over the
-    // worker pool; Δ masks go onto the per-batch delta relations,
-    // ensured once — `ColumnRel::clear` keeps them registered.
-    let wreqs = engine.compiled.worklist_index_requirements();
-    let mut new_masks: Vec<Vec<u32>> = engine.idb_new_masks.clone();
-    let mut delta_masks: Vec<Vec<u32>> = vec![vec![]; nidb];
-    for &(source, mask) in &wreqs {
-        match source {
-            Source::IdbNew(i) | Source::IdbOld(i) => {
-                if !new_masks[i].contains(&mask) {
-                    new_masks[i].push(mask);
-                }
-            }
-            Source::IdbDelta(i) => {
-                if !delta_masks[i].contains(&mask) {
-                    delta_masks[i].push(mask);
-                }
-            }
-            Source::PopsEdb(_) | Source::BoolEdb(_) => {}
-        }
-    }
-    let gov = Governor::new(opts, setup_ns);
-    // Pre-index phase checkpoint: a cancelled or already-over-deadline
-    // run (setup is backdated into the governor) stops before paying
-    // for the EDB index build.
-    if let Err(a) = gov.check(0, &mut col) {
-        let rels = engine.empty_idbs();
-        return Err(abort_with_partial(
-            a,
-            Checkpoint::Phase,
-            engine,
-            rels,
-            settled,
-            col,
-            0,
-            0,
-        ));
-    }
-    let t = Instant::now();
-    if let Err(a) = engine.build_edb_indexes(&wreqs, threads) {
-        let rels = engine.empty_idbs();
-        return Err(abort_with_partial(
-            a,
-            Checkpoint::Phase,
-            engine,
-            rels,
-            settled,
-            col,
-            0,
-            0,
-        ));
-    }
-    col.edb_index_phase(t.elapsed().as_nanos() as u64);
-    let t_eval = Instant::now();
-    let t_arr = Instant::now();
-    let mut arranged = false;
-    let mut new = engine.empty_idbs();
-    for (pred, rel) in new.iter_mut().enumerate() {
-        arranged |= ensure_probes(rel, &new_masks[pred], mode);
-    }
-    let mut delta = engine.empty_idbs();
-    for (pred, rel) in delta.iter_mut().enumerate() {
-        arranged |= ensure_probes(rel, &delta_masks[pred], mode);
-    }
-    if arranged {
-        col.arrange_phase(t_arr.elapsed().as_nanos() as u64);
-    }
-    // Never populated: with an empty changed map, `Old` reads ≡ `New`
-    // reads, which is exactly the worklist plans' contract (every
-    // non-Δ occurrence sees the live state).
-    let changed: Vec<FxHashMap<u32, Option<P>>> = vec![FxHashMap::default(); nidb];
-    let mut bufs: Vec<EmitBuf<P>> = engine
-        .compiled
-        .idbs
-        .iter()
-        .map(|(_, arity)| EmitBuf::new(*arity))
-        .collect();
-    let mut fresh: Vec<BTreeMap<Box<[HeadVal]>, P>> = (0..nidb).map(|_| BTreeMap::new()).collect();
-
-    // Seed: run the all-New plans against the empty state (only IDB-free
-    // sum-products contribute, eq. 65) and enqueue every inserted row.
-    if let Err(a) = gov.check(0, &mut col) {
-        return Err(abort_with_partial(
-            a,
-            Checkpoint::Phase,
-            engine,
-            new,
-            settled,
-            col,
-            0,
-            t_eval.elapsed().as_nanos() as u64,
-        ));
-    }
-    let seed_before = col.stats.counters;
-    {
-        let seed_plans: Vec<&Plan<P>> = engine.compiled.seed_plans.iter().collect();
-        if let Err(a) = run_frontier_plans(
-            &engine,
-            &seed_plans,
-            &new,
-            &changed,
-            &delta,
-            &mut bufs,
-            &mut fresh,
-            opts,
-            &mut col,
-        ) {
-            return Err(abort_with_partial(
-                a,
-                Checkpoint::Phase,
-                engine,
-                new,
-                settled,
-                col,
-                0,
-                t_eval.elapsed().as_nanos() as u64,
-            ));
-        }
-    }
-    apply_emissions(
-        &mut engine.interner,
-        &mut new,
-        &engine.compiled.set_valued,
-        &mut bufs,
-        &mut fresh,
-        &mut frontier,
-        &mut settled,
-        &mut col,
-    );
-    drain_rel_merges(&mut new, &mut delta, &mut col);
-    col.end_step(0, 0, frontier.depth() as u64, &seed_before);
+    // Seed: run the all-New plans against the empty state (only
+    // IDB-free sum-products contribute, eq. 65) and enqueue every
+    // inserted row.
+    run.check(0, Checkpoint::Phase)?;
+    let before = run.col.stats.counters;
+    run_phase(engine, &compiled.seed_plans, state, run, &mut out)
+        .map_err(LoopFail::at(Checkpoint::Phase, 0))?;
+    let col = &mut run.col;
+    apply_emissions(engine, state, &mut out, &mut frontier, settled, col);
+    col.end_step(0, 0, frontier.depth() as u64, &before);
 
     let mut batch: Vec<(usize, u32)> = Vec::new();
     let mut touched: Vec<usize> = Vec::new();
-    // Reused plan-list scratch: sparse frontiers process thousands of
-    // 1–2 row batches per run, so the loop body allocates nothing.
+    // Reused plan-list scratch: sparse frontiers process thousands
+    // of 1–2 row batches per run, so the loop body allocates nothing.
     let mut batch_plans: Vec<&Plan<P>> = Vec::new();
     let mut steps = 0usize;
     loop {
         batch.clear();
-        if !frontier.pop_into(&new, &mut batch) {
-            let stats = col.finish(steps, true, t_eval.elapsed().as_nanos() as u64);
-            return Ok(InternedOutcome::Converged {
-                output: finish(engine, new),
-                steps,
-                stats,
-            });
+        if !frontier.pop_into(&state.new, &mut batch) {
+            return Ok(steps);
         }
         if steps == cap {
-            let stats = col.finish(cap, false, t_eval.elapsed().as_nanos() as u64);
-            return Ok(InternedOutcome::Diverged {
-                last: finish(engine, new),
-                cap,
-                stats,
-            });
+            return Err(LoopFail::Diverged);
         }
-        // Settled-on-pop: a popped row's value is final the moment the
-        // frontier hands it over (priority only) — independent of
-        // whether its derivations ever fire — so marking precedes the
-        // governance check and a mid-run abort still counts this batch.
+        // A popped row's value is final the moment the frontier
+        // hands it over (priority only), so marking precedes the
+        // checkpoint and a mid-run abort still counts this batch.
         if exact {
             for &(pred, row) in &batch {
                 settled.mark(pred, row);
             }
         }
-        if let Err(a) = gov.check(steps as u64, &mut col) {
-            return Err(abort_with_partial(
-                a,
-                loop_checkpoint,
-                engine,
-                new,
-                settled,
-                col,
-                steps,
-                t_eval.elapsed().as_nanos() as u64,
-            ));
-        }
+        run.check(steps, loop_checkpoint)?;
         steps += 1;
-        let before = col.stats.counters;
+        let before = run.col.stats.counters;
 
-        // Stage the batch as per-pred Δ relations carrying full current
-        // values (a batch never holds the same row twice: both
-        // disciplines de-duplicate — see their docs).
+        // Stage the batch as per-pred Δ relations carrying full
+        // current values (a batch never holds the same row twice:
+        // both disciplines de-duplicate — see their docs).
         touched.clear();
         for &(pred, row) in &batch {
-            if delta[pred].is_empty() {
+            if state.delta[pred].is_empty() {
                 touched.push(pred);
             }
-            let val = new[pred].val(row).clone();
-            delta[pred].append_row(new[pred].row(row), val);
+            let val = state.new[pred].val(row).clone();
+            state.delta[pred].append_row(state.new[pred].row(row), val);
         }
         batch_plans.clear();
         batch_plans.extend(
             touched
                 .iter()
-                .flat_map(|&pred| engine.compiled.worklist_plans_for(pred).iter()),
+                .flat_map(|&pred| compiled.worklist_plans_for(pred).iter()),
         );
-        if let Err(a) = run_frontier_plans(
-            &engine,
-            &batch_plans,
-            &new,
-            &changed,
-            &delta,
-            &mut bufs,
-            &mut fresh,
-            opts,
-            &mut col,
-        ) {
-            return Err(abort_with_partial(
-                a,
-                loop_checkpoint,
-                engine,
-                new,
-                settled,
-                col,
-                steps,
-                t_eval.elapsed().as_nanos() as u64,
-            ));
-        }
+        run_phase(engine, &batch_plans, state, run, &mut out)
+            .map_err(LoopFail::at(loop_checkpoint, steps))?;
         for &pred in &touched {
-            delta[pred].clear();
+            state.delta[pred].clear();
         }
-        apply_emissions(
-            &mut engine.interner,
-            &mut new,
-            &engine.compiled.set_valued,
-            &mut bufs,
-            &mut fresh,
-            &mut frontier,
-            &mut settled,
-            &mut col,
-        );
-        drain_rel_merges(&mut new, &mut delta, &mut col);
+        let col = &mut run.col;
+        apply_emissions(engine, state, &mut out, &mut frontier, settled, col);
         col.end_step(steps, batch.len() as u64, frontier.depth() as u64, &before);
     }
-}
-
-/// Drains the spine-merge counters of the frontier's `new` and staged
-/// Δ relations into the run's `arrange_batches_merged` total (the
-/// frontier keeps its IDB state in loose vectors rather than an
-/// [`crate::driver::IdbState`], so it cannot reuse
-/// [`crate::driver::drain_arrange_merges`]). All maintenance is
-/// coordinator-side, so the total is thread-invariant.
-fn drain_rel_merges<P: Pops>(
-    new: &mut [ColumnRel<P>],
-    delta: &mut [ColumnRel<P>],
-    col: &mut Collector,
-) {
-    let mut merges = 0;
-    for rel in new.iter_mut().chain(delta.iter_mut()) {
-        merges += rel.take_arrange_merges();
-    }
-    col.stats.counters.arrange_batches_merged += merges;
 }
 
 /// FIFO-worklist evaluation: per-row change propagation over any

@@ -8,7 +8,8 @@
 //! Representation: `u64` with saturating arithmetic. Divergence detection in
 //! the engine happens via iteration caps long before saturation could be
 //! reached on any paper workload; saturation merely keeps the arithmetic
-//! total (documented substitution in DESIGN.md).
+//! total. (Substitution: the paper's `ℕ` is unbounded; `u64::MAX` stands
+//! in for overflow and is never reached before a cap reports divergence.)
 
 use crate::traits::*;
 

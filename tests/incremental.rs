@@ -669,3 +669,84 @@ fn poisoned_handle_exposes_partial_beside_the_poison() {
         "rebuild clears the stashed partial"
     );
 }
+
+/// A `Materialization` build runs the same loops as the from-scratch
+/// drivers, so it counts steps, honours the cap, and does the work of
+/// the matching driver on the same EDB — on a plain recursive program
+/// and on one whose head key function mints constants.
+#[test]
+fn builds_count_steps_and_work_like_the_from_scratch_drivers() {
+    use datalog_o::core::EvalOutcome;
+    use datalog_o::{engine_naive_eval, engine_seminaive_eval, EvalStats};
+
+    let chain: Vec<(String, String, f64)> = (0..5)
+        .map(|i| (format!("n{i}"), format!("n{}", i + 1), 1.0))
+        .collect();
+    let chain: Vec<(&str, &str, f64)> = chain
+        .iter()
+        .map(|(u, v, w)| (u.as_str(), v.as_str(), *w))
+        .collect();
+    let minting: Program<Trop> =
+        parse_program("W(0) :- V(0).\nW(I + 1) :- W(I) * V(I + 1).").unwrap();
+    let mut values = Database::new();
+    values.insert(
+        "V",
+        Relation::from_pairs(
+            1,
+            (0..6i64).map(|i| (vec![Constant::from(i)], Trop::finite(i as f64))),
+        ),
+    );
+    let bools = BoolDatabase::new();
+    let opts = EngineOpts::default();
+    let same_work = |leg: &str, scratch: &EvalStats, built: &EvalStats| {
+        let (s, b) = (&scratch.counters, &built.counters);
+        assert_eq!(scratch.steps, built.steps, "{leg}: steps");
+        assert_eq!(s.emits, b.emits, "{leg}: emits");
+        assert_eq!(s.rows_inserted, b.rows_inserted, "{leg}: rows inserted");
+        assert_eq!(s.index_probes, b.index_probes, "{leg}: index probes");
+    };
+    for (name, program, edb) in [
+        ("chain APSP", apsp_program(), edge_db(&chain)),
+        ("minting counter", minting, values),
+    ] {
+        for naive in [false, true] {
+            let leg = format!("{name} ({})", if naive { "naive" } else { "semi-naive" });
+            let scratch = |cap| {
+                if naive {
+                    engine_naive_eval(&program, &edb, &bools, cap)
+                } else {
+                    engine_seminaive_eval(&program, &edb, &bools, cap)
+                }
+                .expect("compiles")
+            };
+            let build = |cap| {
+                if naive {
+                    Materialization::new_naive(&program, &edb, &bools, cap, &opts)
+                } else {
+                    Materialization::new(&program, &edb, &bools, cap, Strategy::SemiNaive, &opts)
+                }
+            };
+            let from_scratch = scratch(CAP);
+            let EvalOutcome::Converged { steps, stats, .. } = &from_scratch else {
+                panic!("{leg}: the from-scratch run converges");
+            };
+            let built = build(CAP).expect("the build converges");
+            same_work(&leg, stats, built.last_stats());
+            assert_eq!(built.last_stats().steps, *steps as u64, "{leg}");
+            for cap in [steps - 1, *steps] {
+                let converged = scratch(cap).is_converged();
+                assert_eq!(converged, cap == *steps, "{leg}: from scratch at cap {cap}");
+                match build(cap) {
+                    Ok(m) => {
+                        assert!(converged, "{leg}: only the build converges at cap {cap}");
+                        same_work(&leg, stats, m.last_stats());
+                    }
+                    Err(e) => {
+                        assert!(!converged, "{leg}: only the build diverges at cap {cap}");
+                        assert_eq!(e.kind(), "diverged", "{leg}");
+                    }
+                }
+            }
+        }
+    }
+}
